@@ -8,12 +8,11 @@ time.  The >=2x speedup expectation only applies on machines with at
 least 4 CPUs; on smaller boxes the record is still emitted but the
 speedup is informational.
 
-The acceleration dimensions compose: every worker count also runs
-with golden-run checkpointing disabled and with the batched
-(structure-of-arrays) engine enabled, so the record separates the
-warm-start speedup (checkpoints on vs off), the batching speedup
-(batched vs scalar, same worker count) and the process-parallel
-speedup - and proves every path classifies identically.
+The two execution paths compose with the worker count: every worker
+count also runs the cold reference path (golden-run checkpointing, and
+with it the engine, disabled), so the record separates the engine's
+speedup over the reference from the process-parallel speedup - and
+proves both paths classify identically.
 
 Size via ``ARGUS_SCALING_EXPERIMENTS`` (default 400, the acceptance
 campaign size).
@@ -31,9 +30,8 @@ WORKER_COUNTS = (1, 2, 4)
 SEED = 2007
 
 
-def _run(workers, use_checkpoints=True, batched=False):
-    campaign = Campaign(seed=SEED, use_checkpoints=use_checkpoints,
-                        batched=batched)
+def _run(workers, use_checkpoints=True):
+    campaign = Campaign(seed=SEED, use_checkpoints=use_checkpoints)
     start = time.perf_counter()
     summary = campaign.run(experiments=EXPERIMENTS, duration=TRANSIENT,
                            workers=workers, keep_results=False)
@@ -43,13 +41,11 @@ def _run(workers, use_checkpoints=True, batched=False):
 def test_campaign_scaling(benchmark):
     results = {}
     cold = {}
-    batched = {}
 
     def measure():
         for workers in WORKER_COUNTS:
             results[workers] = _run(workers)
             cold[workers] = _run(workers, use_checkpoints=False)
-            batched[workers] = _run(workers, batched=True)
         return results
 
     benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -62,29 +58,23 @@ def test_campaign_scaling(benchmark):
         "serial_throughput": round(EXPERIMENTS / serial_seconds, 2),
         "speedup": {},
         "checkpoint_speedup": {},
-        "batched_speedup": {},
     }
     for workers in WORKER_COUNTS:
         seconds, summary = results[workers]
         cold_seconds, cold_summary = cold[workers]
-        batched_seconds, batched_summary = batched[workers]
-        # determinism: any worker count - and any engine mode - must be
-        # bit-identical to serial
+        # determinism: any worker count - and either execution path -
+        # must be bit-identical to serial
         assert summary.fractions() == serial_summary.fractions()
         assert summary.checker_counts == serial_summary.checker_counts
         assert cold_summary.fractions() == serial_summary.fractions()
         assert cold_summary.checker_counts == serial_summary.checker_counts
-        assert batched_summary.fractions() == serial_summary.fractions()
-        assert batched_summary.checker_counts == serial_summary.checker_counts
         record["speedup"][str(workers)] = round(serial_seconds / seconds, 3)
         record["checkpoint_speedup"][str(workers)] = round(
             cold_seconds / seconds, 3)
-        record["batched_speedup"][str(workers)] = round(
-            seconds / batched_seconds, 3)
         benchmark.extra_info["speedup_%dw" % workers] = record["speedup"][str(workers)]
     benchmark.extra_info.update(
         {k: v for k, v in record.items()
-         if k not in ("speedup", "checkpoint_speedup", "batched_speedup")})
+         if k not in ("speedup", "checkpoint_speedup")})
 
     print("\n  " + json.dumps(record, sort_keys=True))
     if record["cpus"] >= 4:

@@ -23,12 +23,13 @@ Every :class:`TimelineVerdict` axis is a theorem, not an estimate: a
 ``detected=True`` means the first checker evaluation that sees the
 fault deterministically alarms (the owning checker is pinned).  Axes
 that depend on data values (aliasing escapes, value masking through
-logic ops) stay ``None`` and must be simulated.  The hybrid campaign
-mode (:class:`repro.faults.campaign.Campaign` with ``hybrid=True``)
-executes exactly the ``None`` axes and synthesizes the proven ones;
-``tests/test_masking.py`` differentially re-proves every claimed axis
-against forced-injection simulation runs, and ARG019 cross-checks the
-timeline verdicts against the per-point audit classes.
+logic ops) stay ``None`` and must be simulated.  Campaigns do not
+consult the timeline: it serves ``argus-repro audit --timeline`` and the
+ARG018/ARG019 lints (:meth:`repro.faults.campaign.Campaign.timeline`
+builds it from a campaign's golden run).  ``tests/test_masking.py``
+differentially re-proves every claimed axis against forced-injection
+simulation runs, and ARG019 cross-checks the timeline verdicts against
+the per-point audit classes.
 """
 
 from bisect import bisect_left
@@ -872,8 +873,8 @@ def timeline_summary(timeline, coverage_map, durations=(TRANSIENT, PERMANENT),
     """Aggregate verdict statistics for ``argus-repro audit --timeline``.
 
     Returns per-duration counts of fully-proven / partially-proven /
-    unknown (point, time) probes plus a per-rule histogram - the knob
-    that predicts hybrid-campaign synthesis rates.
+    unknown (point, time) probes plus a per-rule histogram - how much
+    of the workload's outcome space the proofs settle.
     """
     times = _probe_times(timeline.length, samples=samples)
     summary = {}

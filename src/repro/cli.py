@@ -428,12 +428,7 @@ def cmd_campaign(args):
                  else (args.duration,))
     campaign = Campaign(seed=args.seed,
                         use_checkpoints=not args.no_checkpoints,
-                        checkpoint_interval=args.checkpoint_interval,
-                        hybrid=args.hybrid,
-                        spot_check_rate=args.spot_check_rate,
-                        batched=args.batched,
-                        batch_size=args.batch_size,
-                        backend=args.backend)
+                        checkpoint_interval=args.checkpoint_interval)
     sinks = []
     if not args.quiet:
         sinks.append(StderrTelemetry())
@@ -475,22 +470,6 @@ def cmd_campaign(args):
             "unmasked_coverage": summary.unmasked_coverage,
             "masked_detection_rate": summary.masked_detection_rate,
         }
-        if args.hybrid:
-            print("  hybrid: executed %d | synthesized %d full + %d partial "
-                  "| spot-checks %d | runs saved %d" % (
-                      summary.executed, summary.synthesized_full,
-                      summary.synthesized_partial, summary.spot_checks,
-                      summary.runs_saved))
-            dump[duration]["hybrid"] = {
-                "executed": summary.executed,
-                "synthesized_full": summary.synthesized_full,
-                "synthesized_partial": summary.synthesized_partial,
-                "spot_checks": summary.spot_checks,
-                "runs_saved": summary.runs_saved,
-            }
-            dump[duration]["quadrant_intervals"] = {
-                quadrant: list(bounds) for quadrant, bounds
-                in summary.quadrant_intervals().items()}
         if args.audit:
             found = differential_audit(summary.results, coverage_map)
             defects.extend(found)
@@ -609,14 +588,6 @@ def _print_job(job):
                   100 * fractions["unmasked_detected"],
                   100 * fractions["masked_undetected"],
                   100 * fractions["masked_detected"]))
-        hybrid = summary.get("hybrid")
-        if hybrid and (hybrid["synthesized_full"]
-                       or hybrid["synthesized_partial"]):
-            print("    hybrid: executed %d | synthesized %d full + %d "
-                  "partial | spot-checks %d | runs saved %d" % (
-                      hybrid["executed"], hybrid["synthesized_full"],
-                      hybrid["synthesized_partial"], hybrid["spot_checks"],
-                      hybrid["runs_saved"]))
     if job.get("error"):
         print("  error: %s" % job["error"])
 
@@ -633,12 +604,6 @@ def cmd_submit(args):
         spec["workload"] = args.workload
     if args.no_checkpoints:
         spec["use_checkpoints"] = False
-    if args.hybrid:
-        spec["hybrid"] = True
-        spec["spot_check_rate"] = args.spot_check_rate
-    if args.batched:
-        spec["batched"] = True
-        spec["batch_size"] = args.batch_size
     client = _service_client(args)
     try:
         job = client.submit(spec)
@@ -1024,8 +989,9 @@ def build_parser():
                    help="seconds per experiment before a worker batch "
                         "is considered hung")
     p.add_argument("--no-checkpoints", action="store_true",
-                   help="replay every run from instruction 0 instead of "
-                        "warm-starting from golden-run snapshots")
+                   help="reference path: replay every run from instruction "
+                        "0 instead of using the engine and golden-run "
+                        "snapshots (identical results, much slower)")
     p.add_argument("--checkpoint-interval", type=int, default=None,
                    help="dynamic instructions between golden-run "
                         "snapshots (default: auto)")
@@ -1036,26 +1002,6 @@ def build_parser():
     p.add_argument("--audit", action="store_true",
                    help="cross-check every result against the static "
                         "coverage map; any disagreement exits 1")
-    p.add_argument("--hybrid", action="store_true",
-                   help="analytic-hybrid mode: synthesize outcomes the "
-                        "masking timeline proves, execute only the "
-                        "genuinely uncertain axes")
-    p.add_argument("--spot-check-rate", type=float, default=0.05,
-                   help="fraction of provable experiments still executed "
-                        "and differenced against their proofs "
-                        "(default: 0.05)")
-    p.add_argument("--batched", action="store_true",
-                   help="batched structure-of-arrays execution: classify "
-                        "experiments in lockstep batches against one "
-                        "shared golden sweep (classification-identical)")
-    p.add_argument("--batch-size", type=int, default=64,
-                   help="experiments per batched-engine batch "
-                        "(default: 64)")
-    p.add_argument("--backend", choices=("python", "numpy", "auto"),
-                   default=None,
-                   help="batched column backend (default: auto - numpy "
-                        "when ARGUS_REPRO_NUMPY=1 and installed, else "
-                        "pure python)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress live progress telemetry on stderr")
     p.set_defaults(func=cmd_campaign)
@@ -1101,13 +1047,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--priority", type=int, default=0,
                    help="higher runs first")
-    p.add_argument("--no-checkpoints", action="store_true")
-    p.add_argument("--hybrid", action="store_true",
-                   help="run the job in analytic-hybrid mode")
-    p.add_argument("--spot-check-rate", type=float, default=0.05)
-    p.add_argument("--batched", action="store_true",
-                   help="run the job on the batched engine")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--no-checkpoints", action="store_true",
+                   help="run the job on the cold reference path")
     p.add_argument("--wait", action="store_true",
                    help="block until the job finishes and print its summary")
     p.add_argument("--timeout", type=float, default=3600.0,

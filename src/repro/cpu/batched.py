@@ -26,11 +26,11 @@ simulation only in two places:
 
 The per-instruction fetch/decode/issue work of the golden stream is thus
 paid once per *batch* (the sweep) instead of once per experiment, and
-the per-signal/per-register site tables - the structure-of-arrays
-columns along the experiment axis's shared time axis - are built once
-per engine.  The column searches run on plain ``list`` + ``bisect`` by
-default; ``backend="numpy"`` (or ``ARGUS_REPRO_NUMPY=1``) switches them
-to ``numpy`` arrays with ``searchsorted``.
+the per-signal/per-register site tables - sorted step lists searched
+with :mod:`bisect` - are built once per engine.  The engine is the
+campaign's fast path (:class:`repro.faults.campaign.Campaign` builds it
+lazily on the first batch); ``Campaign(use_checkpoints=False)`` is the
+cold scalar reference it is checked against.
 
 Soundness notes for the analytic rules live next to each rule; every one
 of them is individually removable (falling back to materialization at
@@ -40,7 +40,6 @@ and all of them are re-proven differentially in
 """
 
 import bisect
-import os
 
 from repro.cpu.checkedcore import CheckedCore, _identity_tap
 from repro.faults.checkpoint import capture
@@ -116,74 +115,10 @@ _BR_DIVERGE = 1   # flip provably changes the post-delay-slot pc
 _BR_MATERIALIZE = 2  # cannot decide statically; evict
 
 
-def resolve_backend(backend=None):
-    """Resolve the column backend: ``(name, numpy_module_or_None)``.
-
-    Explicit ``backend=`` wins; ``ARGUS_REPRO_NUMPY=1`` opts the default
-    in; anything else is the pure-Python list/bisect implementation.  An
-    explicit ``"numpy"`` without numpy installed is an error; the
-    env-var opt-in silently falls back (the flag may be set fleet-wide).
-    """
-    choice = backend
-    if choice in (None, "", "auto"):
-        env = os.environ.get("ARGUS_REPRO_NUMPY", "")
-        choice = "numpy" if env not in ("", "0", "false", "no") else "python"
-    if choice == "python":
-        return "python", None
-    if choice == "numpy":
-        try:
-            import numpy
-        except ImportError:
-            if backend == "numpy":
-                raise ValueError(
-                    "backend='numpy' requested but numpy is not installed")
-            return "python", None
-        return "numpy", numpy
-    raise ValueError("unknown batched backend %r (python|numpy|auto)"
-                     % (backend,))
-
-
-class SiteColumns:
-    """Sorted step columns with a backend-switchable first-at-or-after.
-
-    Each named column is the ascending list of dynamic-instruction steps
-    at which one site class occurs in the golden stream.  The pure-Python
-    backend keeps ``list`` + :func:`bisect.bisect_left`; the numpy
-    backend keeps ``int64`` arrays + ``searchsorted``.  All lookups
-    return plain Python ints (journal records must never see numpy
-    scalars).
-    """
-
-    def __init__(self, np_module=None):
-        self._np = np_module
-        self._cols = {}
-
-    def add(self, name, steps):
-        if self._np is not None:
-            self._cols[name] = self._np.asarray(steps, dtype=self._np.int64)
-        else:
-            self._cols[name] = steps
-
-    def first_index_ge(self, name, step):
-        """Index of the first site >= step (== len when exhausted)."""
-        col = self._cols[name]
-        if self._np is not None:
-            return int(self._np.searchsorted(col, step, side="left"))
-        return bisect.bisect_left(col, step)
-
-    def first_ge(self, name, step):
-        """First site step >= step, or None."""
-        col = self._cols[name]
-        i = self.first_index_ge(name, step)
-        if i >= len(col):
-            return None
-        return int(col[i])
-
-    def at(self, name, i):
-        return int(self._cols[name][i])
-
-    def size(self, name):
-        return len(self._cols[name])
+def _first_at_or_after(steps, step):
+    """First entry of the ascending ``steps`` that is >= ``step``, or None."""
+    i = bisect.bisect_left(steps, step)
+    return steps[i] if i < len(steps) else None
 
 
 class _Lane:
@@ -211,13 +146,12 @@ class BatchedEngine:
     """
 
     def __init__(self, embedded, golden, golden_final, checkpoints,
-                 run_slack, backend=None):
+                 run_slack):
         self.embedded = embedded
         self.golden = golden
         self.golden_final = golden_final
         self.checkpoints = checkpoints
         self.limit = int(len(golden) * run_slack) + 64
-        self.backend, self._np = resolve_backend(backend)
         self.counters = {
             "batches": 0,
             "lanes": 0,
@@ -292,9 +226,7 @@ class BatchedEngine:
                     sites["cond"].append(step)
                     cond_verdict.append(verdict[0])
 
-        self.sites = columns = SiteColumns(self._np)
-        for name, steps in sites.items():
-            columns.add(name, steps)
+        self.sites = sites
         self._reg_reads = reg_reads
         self._reg_writes = reg_writes
         self._cond_verdict = cond_verdict
@@ -341,15 +273,10 @@ class BatchedEngine:
         ``index`` (None when exhausted).  Reads come from decode
         (operand-port sites); writes from the golden records themselves,
         which include call link writes."""
-        reads = self._reg_reads[index] if 0 <= index < registers.NUM_REGS \
-            else []
-        writes = self._reg_writes[index] if 0 <= index < registers.NUM_REGS \
-            else []
-        ri = bisect.bisect_left(reads, inject_at)
-        wi = bisect.bisect_left(writes, inject_at)
-        first_read = reads[ri] if ri < len(reads) else None
-        first_write = writes[wi] if wi < len(writes) else None
-        return first_read, first_write
+        if not 0 <= index < registers.NUM_REGS:
+            return None, None
+        return (_first_at_or_after(self._reg_reads[index], inject_at),
+                _first_at_or_after(self._reg_writes[index], inject_at))
 
     def _plan_rf_transient(self, spec, inject_at, masking):
         """Virtual-lane walk for a transient ``state.rf.*`` fault.
@@ -399,21 +326,20 @@ class BatchedEngine:
                 # Only the discarded high half is perturbed; writeback
                 # keeps the low word, records never change.
                 return "synth", (True, None, False)
-            site = self.sites.first_ge("mul", inject_at)
+            site = _first_at_or_after(self.sites["mul"], inject_at)
             if site is None:
                 return "synth", (True, None, False)
             return "synth", (False, site, False)
         cls = _RESULT_CLASS.get(target)
         if cls is not None:
-            site = self.sites.first_ge(cls, inject_at)
+            site = _first_at_or_after(self.sites[cls], inject_at)
             if site is None:
                 return "synth", (True, None, False)
             return "synth", (False, site, False)
         if target == "ctl.flag":
-            return self._plan_branch(spec, inject_at, "cond",
-                                     self._cond_verdict)
+            return self._plan_branch(inject_at, "cond", self._cond_verdict)
         if target == "ctl.btarget":
-            return self._plan_branch(spec, inject_at, "branch",
+            return self._plan_branch(inject_at, "branch",
                                      self._branch_verdict)
         if target == "state.rf.value":
             if spec.index == LINK or duration != TRANSIENT:
@@ -430,7 +356,7 @@ class BatchedEngine:
             return "mat", inject_at
         cls = _MASKING_MATERIALIZE.get(target)
         if cls is not None:
-            site = self.sites.first_ge(cls, inject_at)
+            site = _first_at_or_after(self.sites[cls], inject_at)
             if site is None:
                 return "synth", (True, None, False)
             return "mat", site
@@ -438,18 +364,15 @@ class BatchedEngine:
         # state.mem.*, and any future target: the scalar warm start.
         return "mat", inject_at
 
-    def _plan_branch(self, spec, inject_at, col, verdicts):
+    def _plan_branch(self, inject_at, col, verdicts):
         """Walk a branch-flip lane over its precomputed site verdicts."""
-        sites = self.sites
-        i = sites.first_index_ge(col, inject_at)
-        n = sites.size(col)
-        while i < n:
+        steps = self.sites[col]
+        for i in range(bisect.bisect_left(steps, inject_at), len(steps)):
             verdict = verdicts[i]
             if verdict == _BR_DIVERGE:
-                return "synth", (False, sites.at(col, i) + 2, False)
+                return "synth", (False, steps[i] + 2, False)
             if verdict == _BR_MATERIALIZE:
-                return "mat", sites.at(col, i)
-            i += 1
+                return "mat", steps[i]
         return "synth", (True, None, False)
 
     def _plan_detection(self, spec, duration, inject_at):
@@ -466,7 +389,7 @@ class BatchedEngine:
             return "mat", plan[1]
         cls = _DETECTION_SITES.get(target)
         if cls is not None:
-            site = self.sites.first_ge(cls, inject_at)
+            site = _first_at_or_after(self.sites[cls], inject_at)
             if site is None:
                 return "synth", (False, None, False)
             return "mat", site
@@ -555,17 +478,16 @@ class BatchedEngine:
 
     # -- batch entry point -----------------------------------------------
     def run_batch(self, items):
-        """Classify a batch of experiment phases.
+        """Classify a batch of experiments.
 
-        ``items``: sequence of ``(spec, duration, inject_at,
-        need_masking, need_detection)``.  Returns a list (in item order)
-        of ``(masking, detection)`` pairs - ``masking`` is the
-        ``(masked, activated_at, hung)`` triple of
+        ``items``: sequence of ``(spec, duration, inject_at)``.  Returns
+        a list (in item order) of ``(masking, detection)`` pairs -
+        ``masking`` is the ``(masked, activated_at, hung)`` triple of
         :func:`~repro.faults.execution.masking_loop`, ``detection`` the
         ``(detected, info, hung)`` triple of
-        :func:`~repro.faults.execution.detection_loop`; axes not asked
-        for are None.  Durations must be transient or permanent (the
-        campaign routes intermittents to the scalar path).
+        :func:`~repro.faults.execution.detection_loop`.  Durations must
+        be transient or permanent (the campaign routes intermittents to
+        the scalar path).
 
         May raise :class:`~repro.argus.errors.ArgusError` if the golden
         sweep itself trips a checker (only possible for embeddings whose
@@ -577,28 +499,20 @@ class BatchedEngine:
         masking_out = [None] * len(items)
         detection_out = [None] * len(items)
         lanes = []
-        for i, (spec, duration, inject_at, need_m, need_d) in \
-                enumerate(items):
+        for i, (spec, duration, inject_at) in enumerate(items):
             if duration not in (TRANSIENT, PERMANENT):
                 raise ValueError("batched engine handles transient/permanent "
                                  "faults only, got %r" % (duration,))
-            if need_m:
-                counters["lanes"] += 1
-                plan = self._plan_masking(spec, duration, inject_at)
+            counters["lanes"] += 2
+            for detect, planner, out in (
+                    (False, self._plan_masking, masking_out),
+                    (True, self._plan_detection, detection_out)):
+                plan = planner(spec, duration, inject_at)
                 if plan[0] == "synth":
                     counters["synthesized_lanes"] += 1
-                    masking_out[i] = plan[1]
+                    out[i] = plan[1]
                 else:
-                    lanes.append(_Lane(i, False, spec, duration, inject_at,
-                                       plan[1], len(lanes)))
-            if need_d:
-                counters["lanes"] += 1
-                plan = self._plan_detection(spec, duration, inject_at)
-                if plan[0] == "synth":
-                    counters["synthesized_lanes"] += 1
-                    detection_out[i] = plan[1]
-                else:
-                    lanes.append(_Lane(i, True, spec, duration, inject_at,
+                    lanes.append(_Lane(i, detect, spec, duration, inject_at,
                                        plan[1], len(lanes)))
         if not lanes:
             return list(zip(masking_out, detection_out))

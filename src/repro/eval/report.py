@@ -21,14 +21,13 @@ from repro.eval.table2 import format_table2
 from repro.faults.model import PERMANENT, TRANSIENT
 
 
-def generate_report(experiments=800, seed=0, stream=sys.stdout, progress=None,
+def generate_report(experiments=800, seed=0, stream=sys.stdout,
                     workloads=None, telemetry=None, workers=None):
     """Run the complete evaluation; writes the report to ``stream``.
 
     ``workers`` fans the Table 1 campaigns and the Figure 5-7
     measurements out across processes; ``telemetry`` takes a
-    :mod:`repro.runner.telemetry` sink (``progress=N`` is the deprecated
-    print-every-N alias).
+    :mod:`repro.runner.telemetry` sink.
     """
     def emit(text=""):
         print(text, file=stream)
@@ -41,8 +40,7 @@ def generate_report(experiments=800, seed=0, stream=sys.stdout, progress=None,
 
     emit("\n--- Table 1: error injection (%d experiments per row) ---" % experiments)
     rows, summaries = run_table1(experiments=experiments, seed=seed,
-                                 progress=progress, telemetry=telemetry,
-                                 workers=workers)
+                                 telemetry=telemetry, workers=workers)
     emit(format_table1(rows))
 
     emit("\n--- Sec 4.1.1: detection attribution (transient campaign) ---")

@@ -24,16 +24,16 @@ class Table1Row:
         return "%-10s %s" % (self.error_type, "  ".join(cells))
 
 
-def run_table1(experiments=1000, seed=0, progress=None, telemetry=None,
-               workers=None, journal=None, resume=False):
+def run_table1(experiments=1000, seed=0, telemetry=None, workers=None,
+               journal=None, resume=False):
     """Run both campaigns; returns (rows, summaries).
 
     ``workers``/``journal``/``resume`` select the parallel execution
-    engine (:mod:`repro.runner`); ``progress`` is the deprecated alias
-    for ``telemetry`` (see :mod:`repro.runner.telemetry`).
+    engine (:mod:`repro.runner`); ``telemetry`` takes a
+    :mod:`repro.runner.telemetry` sink.
     """
     campaign = Campaign(seed=seed)
-    summaries = campaign.run_both(experiments=experiments, progress=progress,
+    summaries = campaign.run_both(experiments=experiments,
                                   telemetry=telemetry, workers=workers,
                                   journal=journal, resume=resume)
     rows = []

@@ -16,6 +16,18 @@ along the paper's two axes:
 
 The four quadrant counts reproduce Table 1; the per-checker attribution
 reproduces Sec. 4.1.1; detection latencies reproduce Sec. 4.2.
+
+A campaign classifies experiments in exactly two ways, with identical
+results:
+
+* the **fast path** (default) hands experiments in batches to
+  :class:`repro.cpu.batched.BatchedEngine`, which decides what it can
+  from the golden trace and runs the rest through the shared loops of
+  :mod:`repro.faults.execution`, warm-started from the golden run's
+  checkpoints;
+* the **reference path** (``use_checkpoints=False``) replays both runs
+  of every experiment cold from instruction 0 - the independent
+  baseline the fast path is differentially tested against.
 """
 
 import random
@@ -23,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import repro.cpu.batched  # here, not in the first batch: see _engine_or_none
 from repro.argus.errors import ArgusError
 from repro.cpu.checkedcore import CheckedCore
 from repro.faults.checkpoint import CheckpointStore, record_checkpoints
@@ -32,11 +45,8 @@ from repro.faults.model import FaultSchedule, PERMANENT, TRANSIENT
 from repro.faults.points import build_point_population, sample_points
 from repro.faults.stress import build_stress_program
 
-
-class HybridSoundnessError(AssertionError):
-    """A hybrid spot-check caught a timeline verdict disagreeing with a
-    full simulation run - the static analyzer (or the simulator) is
-    wrong, and no further synthesis can be trusted."""
+#: Experiments per engine batch on the serial paths.
+BATCH_SIZE = 64
 
 
 def _event_attribution(event, latency):
@@ -65,15 +75,7 @@ def _event_attribution(event, latency):
 
 @dataclass
 class ExperimentResult:
-    """Classified outcome of one fault-injection experiment.
-
-    ``synthesized`` names the axes a hybrid campaign took from the
-    static masking timeline instead of simulation (``"both:<rule>"``,
-    ``"masking:<rule>"`` or ``"detection:<rule>"``; empty = fully
-    executed).  ``spot_check`` marks a fully-executed experiment that
-    also verified its timeline verdict.  Synthesized detections carry no
-    latencies (the proof pins the outcome, not the cycle count).
-    """
+    """Classified outcome of one fault-injection experiment."""
 
     spec: object
     duration: str  # transient | permanent
@@ -87,12 +89,9 @@ class ExperimentResult:
     latency_cycles: Optional[int] = None
     latency_blocks: Optional[int] = None
     hung: bool = False
-    synthesized: str = ""  # axes taken from the masking timeline
-    spot_check: bool = False  # executed *and* verified against the timeline
-    #: Structured detector attribution for executed detections: checker
-    #: id, firing site (pc/block), latency triple and the raw checker
-    #: residues from the DetectionEvent payload.  None for undetected or
-    #: synthesized outcomes (a timeline proof has no firing site).
+    #: Structured detector attribution for detections: checker id,
+    #: firing site (pc/block), latency triple and the raw checker
+    #: residues from the DetectionEvent payload.  None when undetected.
     attribution: Optional[dict] = None
 
     @property
@@ -127,10 +126,6 @@ class CampaignSummary:
     checker_counts: dict = field(default_factory=dict)
     results: list = field(default_factory=list)
     keep_results: bool = True
-    executed: int = 0  # both axes simulated
-    synthesized_full: int = 0  # both axes proven (0 simulation runs)
-    synthesized_partial: int = 0  # one axis proven (1 simulation run)
-    spot_checks: int = 0  # executed experiments that verified a verdict
 
     def add(self, result):
         self.total += 1
@@ -139,15 +134,6 @@ class CampaignSummary:
             self.checker_counts[result.checker] = (
                 self.checker_counts.get(result.checker, 0) + 1
             )
-        tag = result.synthesized
-        if tag.startswith("both:"):
-            self.synthesized_full += 1
-        elif tag:
-            self.synthesized_partial += 1
-        else:
-            self.executed += 1
-        if result.spot_check:
-            self.spot_checks += 1
         if self.keep_results:
             self.results.append(result)
 
@@ -158,9 +144,7 @@ class CampaignSummary:
                              % (other.duration, self.duration))
         self.total += other.total
         for counter in ("unmasked_undetected", "unmasked_detected",
-                        "masked_undetected", "masked_detected", "executed",
-                        "synthesized_full", "synthesized_partial",
-                        "spot_checks"):
+                        "masked_undetected", "masked_detected"):
             setattr(self, counter,
                     getattr(self, counter) + getattr(other, counter))
         for checker, count in other.checker_counts.items():
@@ -169,29 +153,6 @@ class CampaignSummary:
         if self.keep_results:
             self.results.extend(other.results)
         return self
-
-    @property
-    def runs_saved(self):
-        """Simulation runs a hybrid campaign did not have to execute
-        (each experiment normally costs one masking + one detection run)."""
-        return 2 * self.synthesized_full + self.synthesized_partial
-
-    def quadrant_intervals(self):
-        """Per-quadrant ``[lo, hi]`` count bounds.
-
-        Every synthesized axis is a deterministic theorem about the
-        machine (and the spot-check budget re-verifies a random sample
-        of them against full simulation), so hybrid quadrant counts are
-        exact - the intervals are tight, and a hybrid campaign's
-        aggregates must *equal* the full-simulation aggregates for the
-        same plan.  The method exists so report consumers state their
-        tolerance explicitly instead of assuming it.
-        """
-        return {
-            quadrant: (getattr(self, quadrant), getattr(self, quadrant))
-            for quadrant in ("unmasked_undetected", "unmasked_detected",
-                             "masked_undetected", "masked_detected")
-        }
 
     def fractions(self):
         """Quadrant fractions (of all injections), as Table 1 reports."""
@@ -223,35 +184,23 @@ class CampaignSummary:
 class Campaign:
     """A fault-injection campaign over one embedded workload.
 
-    ``use_checkpoints`` (default on) warm-starts every experiment's
-    masking and detection run from the nearest golden-run snapshot at or
-    before its injection point instead of replaying from instruction 0 -
-    a pure acceleration, classification is provably unchanged (the
-    differential test in ``tests/test_checkpoint.py`` asserts identical
-    quadrants, attribution and latencies with it on and off).  Pass
-    ``use_checkpoints=False`` as the escape hatch (or ``--no-checkpoints``
-    on the CLI); ``checkpoint_interval`` / ``max_checkpoints`` tune the
-    memory/speed trade-off (see :mod:`repro.faults.checkpoint`).
+    ``use_checkpoints`` (default on) selects the fast path: the golden
+    run snapshots the core every ``checkpoint_interval`` instructions
+    (at most ``max_checkpoints`` kept, see :mod:`repro.faults.checkpoint`)
+    and the batched engine, built lazily by the first batch, classifies
+    experiments against it.  ``use_checkpoints=False`` (CLI
+    ``--no-checkpoints``) is the reference path: every experiment's
+    masking and detection runs replay cold from instruction 0.  Both
+    paths write identical records; ``tests/test_batched.py`` and
+    ``tests/test_checkpoint.py`` check that differentially.
 
-    ``hybrid`` (default off) switches to analytic-hybrid execution: each
-    experiment first consults the static masking timeline
-    (:class:`repro.analysis.masking.MaskingTimeline`) for its exact
-    (point, injection-time, duration); axes the timeline *proves* are
-    synthesized, only genuinely uncertain axes are simulated.  A
-    ``spot_check_rate`` fraction of experiments is fully simulated
-    regardless and cross-checked against its verdict -
-    :class:`HybridSoundnessError` on any disagreement.  Classification
-    is identical to full simulation by construction (the proofs are
-    theorems, re-proven differentially in ``tests/test_masking.py``);
-    only detection-latency fields degrade to ``None`` on synthesized
-    detections.
+    ``batched`` is accepted and ignored: the engine is always on.
     """
 
     def __init__(self, embedded=None, seed=0, run_slack=1.25,
                  include_double_bits=True, use_checkpoints=True,
                  checkpoint_interval=None, max_checkpoints=None,
-                 hybrid=False, spot_check_rate=0.05, batched=False,
-                 batch_size=64, backend=None):
+                 batched=None):
         self.embedded = embedded if embedded is not None else build_stress_program()
         self.seed = seed
         self.rng = random.Random(seed)
@@ -260,13 +209,6 @@ class Campaign:
         self.use_checkpoints = use_checkpoints
         self.checkpoint_interval = checkpoint_interval
         self.max_checkpoints = max_checkpoints
-        self.hybrid = hybrid
-        self.spot_check_rate = spot_check_rate
-        self.batched = batched
-        self.batch_size = int(batch_size)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        self.backend = backend
         # Wall-clock/throughput accounting, exposed through telemetry and
         # ``campaign --json``; the engine's counters are folded in as the
         # batches run (pool workers ship per-batch deltas of this dict).
@@ -280,9 +222,6 @@ class Campaign:
             "sweep_instructions": 0,
             "lane_instructions": 0,
         }
-        # A dedicated spot-check stream keeps self.rng's draw sequence
-        # (and with it every inject_at) identical with hybrid on or off.
-        self._spot_rng = random.Random("argus-hybrid-spot/%d" % seed)
         self._timeline = None
         self._golden = None
         self._golden_final = None
@@ -344,7 +283,11 @@ class Campaign:
     def golden_length(self):
         return len(self.golden_trace())
 
-    # -- single experiment ---------------------------------------------------
+    def _inject_span(self):
+        """Injection instructions are drawn from ``[0, span)``."""
+        return max(int(self.golden_length * 0.85), 1)
+
+    # -- scalar phases -------------------------------------------------------
     def _new_core(self, spec, detect):
         injector = None if spec.is_state else SignalInjector(spec)
         core = CheckedCore(self.embedded, injector=injector, detect=detect)
@@ -405,28 +348,13 @@ class Campaign:
         step = self._warm_start(core, inject_at)
         return detection_loop(core, injector, schedule, golden, limit, step)
 
-    def run_experiment(self, spec, duration, inject_at=None):
-        """Run (or, in hybrid mode, prove) one fault's classification."""
-        golden = self.golden_trace()
-        if inject_at is None:
-            inject_at = self.rng.randrange(0, max(int(len(golden) * 0.85), 1))
-        start = time.perf_counter()
-        if self.hybrid:
-            spot = self._spot_rng.random() < self.spot_check_rate
-            result = self._run_hybrid(spec, duration, inject_at, spot)
-        else:
-            result = self._execute(spec, duration, inject_at)
-        self.perf["experiments"] += 1
-        self.perf["elapsed"] += time.perf_counter() - start
-        return result
-
     def _assemble(self, spec, duration, inject_at, masking, detection):
         """Build the ExperimentResult from the two phase outcomes.
 
         ``masking`` is the (masked, activated_at, hung) triple of a
         masking run, ``detection`` the (detected, info, hung) triple of
         a detection run - whether they came from the scalar phase
-        methods or from batched-engine lanes (both execute the loops in
+        methods or from engine lanes (both execute the loops in
         :mod:`repro.faults.execution`, so the triples are bit-identical).
         """
         masked, activated_at, hung1 = masking
@@ -460,257 +388,95 @@ class Campaign:
         )
 
     def _execute(self, spec, duration, inject_at):
-        """Run both simulation phases; returns an ExperimentResult."""
+        """Run both scalar phases; returns an ExperimentResult."""
         masking = self._masking_run(spec, duration, inject_at)
         detection = self._detection_run(spec, duration, inject_at)
         return self._assemble(spec, duration, inject_at, masking, detection)
 
-    def _hybrid_complete(self, spec, duration, inject_at, verdict):
-        """Both axes proven: a fully synthesized ExperimentResult."""
-        return ExperimentResult(
-            spec=spec, duration=duration, inject_at=inject_at,
-            masked=verdict.masked, detected=verdict.detected,
-            checker=verdict.checker if verdict.detected else None,
-            detail="synthesized: %s" % verdict.rule,
-            hung=verdict.rule == "hang",
-            synthesized="both:%s" % verdict.rule)
-
-    def _hybrid_masking_only(self, spec, duration, inject_at, verdict,
-                             masking):
-        """Detection axis proven; ``masking`` is the executed triple."""
-        masked, activated_at, hung = masking
-        return ExperimentResult(
-            spec=spec, duration=duration, inject_at=inject_at,
-            masked=masked, detected=verdict.detected,
-            checker=verdict.checker if verdict.detected else None,
-            detail="synthesized detection: %s" % verdict.rule,
-            activated_at=activated_at, hung=hung,
-            synthesized="detection:%s" % verdict.rule)
-
-    def _hybrid_detection_only(self, spec, duration, inject_at, verdict,
-                               detection):
-        """Masking axis proven; ``detection`` is the executed triple."""
-        detected, info, hung = detection
-        checker = None
-        detail = "synthesized masking: %s" % verdict.rule
-        lat_i = lat_c = lat_b = None
-        attribution = None
-        if detected:
-            event, latency = info
-            checker = event.checker
-            detail = event.detail
-            lat_i = latency["instructions"]
-            lat_c = latency["cycles"]
-            lat_b = latency["blocks"]
-            attribution = _event_attribution(event, latency)
-        return ExperimentResult(
-            spec=spec, duration=duration, inject_at=inject_at,
-            masked=verdict.masked, detected=detected, checker=checker,
-            detail=detail, latency_instructions=lat_i,
-            latency_cycles=lat_c, latency_blocks=lat_b, hung=hung,
-            synthesized="masking:%s" % verdict.rule,
-            attribution=attribution)
-
-    def _run_hybrid(self, spec, duration, inject_at, spot):
-        """Synthesize proven axes from the timeline, simulate the rest.
-
-        ``spot`` forces a full simulation whose outcome is then compared
-        against every proven axis - the runtime arm of the soundness
-        argument (the static arm is the differential property suite).
-        """
-        verdict = self.timeline().verdict(spec, duration=duration,
-                                          inject_at=inject_at)
-        if spot or not (verdict.masked is not None or
-                        verdict.detected is not None):
-            result = self._execute(spec, duration, inject_at)
-            if spot:
-                self._check_verdict(verdict, result)
-                result.spot_check = True
-            return result
-        if verdict.complete:
-            return self._hybrid_complete(spec, duration, inject_at, verdict)
-        if verdict.masked is None:
-            # Detection axis proven; only the masking run executes.
-            masking = self._masking_run(spec, duration, inject_at)
-            return self._hybrid_masking_only(spec, duration, inject_at,
-                                             verdict, masking)
-        # Masking axis proven; only the detection run executes.
-        detection = self._detection_run(spec, duration, inject_at)
-        return self._hybrid_detection_only(spec, duration, inject_at,
-                                           verdict, detection)
-
-    def _check_verdict(self, verdict, result):
-        """Raise HybridSoundnessError if an executed result contradicts
-        any proven axis of its timeline verdict."""
-        problems = []
-        if verdict.masked is not None and result.masked != verdict.masked:
-            problems.append("masked=%s proven %s (rule %s)"
-                            % (result.masked, verdict.masked, verdict.rule))
-        if verdict.detected is not None and result.detected != verdict.detected:
-            problems.append("detected=%s proven %s (rule %s)"
-                            % (result.detected, verdict.detected, verdict.rule))
-        if (verdict.detected and verdict.checker is not None
-                and result.detected and result.checker != verdict.checker):
-            problems.append("checker=%s proven %s (rule %s)"
-                            % (result.checker, verdict.checker, verdict.rule))
-        if problems:
-            raise HybridSoundnessError(
-                "spot-check mismatch for %s %s at %d: %s"
-                % (result.spec, result.duration, result.inject_at,
-                   "; ".join(problems)))
-
-    def _planned_spot(self, planned):
-        """Spot-check decision for a planned experiment.
-
-        Derived from the experiment's own seed through a separate stream
-        (never the one that draws ``inject_at``), so the decision - like
-        everything else on the planned path - is identical for any
-        worker count and across journal resumes.
-        """
-        spot_rng = random.Random("argus-hybrid-spot/%d" % planned.seed)
-        return spot_rng.random() < self.spot_check_rate
-
-    def run_planned(self, planned):
-        """Run one :class:`~repro.runner.plan.PlannedExperiment`.
-
-        Every random choice (the injection instruction index and the
-        hybrid spot-check decision) comes from the experiment's own
-        derived seed, never from the campaign's shared streams, so the
-        outcome depends only on the experiment's identity - the keystone
-        of worker-count-independent results.
-        """
-        rng = random.Random(planned.seed)
-        inject_at = rng.randrange(0, max(int(self.golden_length * 0.85), 1))
-        start = time.perf_counter()
-        if self.hybrid:
-            result = self._run_hybrid(planned.spec, planned.duration,
-                                      inject_at, self._planned_spot(planned))
-        else:
-            result = self._execute(planned.spec, planned.duration, inject_at)
-        self.perf["experiments"] += 1
-        self.perf["elapsed"] += time.perf_counter() - start
-        return result
-
-    # -- batched execution ---------------------------------------------------
+    # -- the engine ----------------------------------------------------------
     def _engine_or_none(self):
         """The lazily built :class:`~repro.cpu.batched.BatchedEngine`,
-        or None when batching is off or unavailable.
+        or None on the reference path.
 
         The engine leans on the golden checkpoint store (sweep jumps,
         reconvergence views) and on the golden checkers-on run being
         detection-clean - both guaranteed exactly when ``golden_trace``
-        kept its checkpoints.  Without them, batching silently degrades
-        to the scalar path (correctness first).
+        kept its checkpoints.  Its module is imported with this one:
+        where bytecode is not cached, compiling it inside a service's
+        first job raised the process's peak memory by about 1 MB.
         """
-        if not self.batched:
-            return None
         if self._engine is None:
             self.golden_trace()
             if self._checkpoints is None:
                 return None
-            from repro.cpu.batched import BatchedEngine
-
-            self._engine = BatchedEngine(
+            self._engine = repro.cpu.batched.BatchedEngine(
                 self.embedded, self._golden, self._golden_final,
-                self._checkpoints, self.run_slack, backend=self.backend)
+                self._checkpoints, self.run_slack)
         return self._engine
 
-    def _run_scalar_entry(self, spec, duration, inject_at, spot):
-        """One experiment on the scalar path with a pre-drawn spot flag."""
-        if self.hybrid:
-            return self._run_hybrid(spec, duration, inject_at, spot)
-        return self._execute(spec, duration, inject_at)
+    def _run_entries(self, entries):
+        """Classify ``entries`` = [(spec, duration, inject_at)] as one
+        engine batch; returns ExperimentResults in entry order.
 
-    def _run_batch_entries(self, entries):
-        """Run ``entries`` = [(spec, duration, inject_at, spot)] through
-        the batched engine; returns ExperimentResults in entry order.
-
-        Entries the engine cannot take (intermittent faults, hybrid
-        fully-proven verdicts, no engine at all) run on the scalar path
-        or synthesize directly; everything else becomes engine lanes.
-        If the golden sweep itself raises (an embedding whose fault-free
-        checkers-on run is not clean), the whole batch falls back to the
-        scalar path, which reproduces that behaviour per experiment.
+        Intermittent faults, the reference path, and a batch whose golden
+        sweep raises (an embedding whose fault-free checkers-on run is
+        not clean) run on the scalar phase methods, which reproduce that
+        behaviour per experiment.
         """
-        from repro.argus.errors import ArgusError as _ArgusError
-
         start = time.perf_counter()
         engine = self._engine_or_none()
         results = [None] * len(entries)
-        items = []
-        meta = []  # (entry index, verdict-or-None, mode)
-        for i, (spec, duration, inject_at, spot) in enumerate(entries):
+        lanes = []
+        for i, (spec, duration, inject_at) in enumerate(entries):
             if engine is None or duration not in (TRANSIENT, PERMANENT):
-                results[i] = self._run_scalar_entry(spec, duration,
-                                                    inject_at, spot)
-                continue
-            if self.hybrid:
-                verdict = self.timeline().verdict(spec, duration=duration,
-                                                  inject_at=inject_at)
-                if spot or not (verdict.masked is not None or
-                                verdict.detected is not None):
-                    items.append((spec, duration, inject_at, True, True))
-                    meta.append((i, verdict, "spot" if spot else "full"))
-                elif verdict.complete:
-                    results[i] = self._hybrid_complete(spec, duration,
-                                                       inject_at, verdict)
-                elif verdict.masked is None:
-                    items.append((spec, duration, inject_at, True, False))
-                    meta.append((i, verdict, "masking_only"))
-                else:
-                    items.append((spec, duration, inject_at, False, True))
-                    meta.append((i, verdict, "detection_only"))
+                results[i] = self._execute(spec, duration, inject_at)
             else:
-                items.append((spec, duration, inject_at, True, True))
-                meta.append((i, None, "full"))
-        if items:
+                lanes.append(i)
+        if lanes:
             counters_before = dict(engine.counters)
             try:
-                outcomes = engine.run_batch(items)
-            except _ArgusError:
+                outcomes = engine.run_batch([entries[i] for i in lanes])
+            except ArgusError:
                 outcomes = None
             if outcomes is None:
-                for (i, _verdict, mode), item in zip(meta, items):
-                    results[i] = self._run_scalar_entry(
-                        item[0], item[1], item[2], mode == "spot")
+                for i in lanes:
+                    results[i] = self._execute(*entries[i])
             else:
-                for key, delta in engine.counters.items():
-                    self.perf[key] += delta - counters_before[key]
-                for (i, verdict, mode), item, (m_out, d_out) in \
-                        zip(meta, items, outcomes):
-                    spec, duration, inject_at = item[0], item[1], item[2]
-                    if mode == "masking_only":
-                        results[i] = self._hybrid_masking_only(
-                            spec, duration, inject_at, verdict, m_out)
-                    elif mode == "detection_only":
-                        results[i] = self._hybrid_detection_only(
-                            spec, duration, inject_at, verdict, d_out)
-                    else:
-                        result = self._assemble(spec, duration, inject_at,
-                                                m_out, d_out)
-                        if mode == "spot":
-                            self._check_verdict(verdict, result)
-                            result.spot_check = True
-                        results[i] = result
+                for key, value in engine.counters.items():
+                    self.perf[key] += value - counters_before[key]
+                for i, (masking, detection) in zip(lanes, outcomes):
+                    results[i] = self._assemble(*entries[i], masking,
+                                                detection)
         self.perf["experiments"] += len(entries)
         self.perf["elapsed"] += time.perf_counter() - start
         return results
 
-    def run_planned_batch(self, batch):
-        """Run a list of PlannedExperiments through the batched engine.
+    # -- experiments ---------------------------------------------------------
+    def run_experiment(self, spec, duration, inject_at=None):
+        """Classify one fault; ``inject_at`` defaults to a draw from the
+        campaign's RNG stream."""
+        if inject_at is None:
+            inject_at = self.rng.randrange(0, self._inject_span())
+        return self._run_entries([(spec, duration, inject_at)])[0]
 
-        Derives each experiment's ``inject_at`` and spot-check decision
-        from its own seed exactly as :meth:`run_planned` does, so the
-        results - ids, classifications, latencies, journal records - are
-        bit-identical to running them one by one, for any grouping.
+    def run_planned(self, planned):
+        """Run one :class:`~repro.runner.plan.PlannedExperiment`."""
+        return self.run_planned_batch([planned])[0]
+
+    def run_planned_batch(self, batch):
+        """Run a list of PlannedExperiments as one engine batch.
+
+        Every random choice (the injection instruction index) comes from
+        each experiment's own derived seed, never from the campaign's
+        shared stream, so an outcome depends only on the experiment's
+        identity - the keystone of worker-count-independent results -
+        and is the same for any grouping into batches.
         """
-        span = max(int(self.golden_length * 0.85), 1)
-        entries = []
-        for planned in batch:
-            inject_at = random.Random(planned.seed).randrange(0, span)
-            spot = self._planned_spot(planned) if self.hybrid else False
-            entries.append((planned.spec, planned.duration, inject_at, spot))
-        return self._run_batch_entries(entries)
+        span = self._inject_span()
+        return self._run_entries([
+            (planned.spec, planned.duration,
+             random.Random(planned.seed).randrange(0, span))
+            for planned in batch])
 
     def perf_rates(self):
         """``self.perf`` plus derived throughput rates (for telemetry and
@@ -728,9 +494,9 @@ class Campaign:
         return perf
 
     # -- whole campaign ------------------------------------------------------
-    def run(self, experiments=1000, duration=TRANSIENT, progress=None,
-            workers=None, journal=None, resume=False, telemetry=None,
-            keep_results=True, timeout=None, retries=2):
+    def run(self, experiments=1000, duration=TRANSIENT, workers=None,
+            journal=None, resume=False, telemetry=None, keep_results=True,
+            timeout=None, retries=2):
         """Run ``experiments`` weighted-sampled injections of one duration.
 
         The default (``workers=None``, no journal) is the classic serial
@@ -743,65 +509,49 @@ class Campaign:
         out across worker processes, optionally journaled for
         crash-safe ``resume``, and aggregated in plan order - the same
         arguments always produce bit-identical summaries for any worker
-        count.  ``progress=N`` (deprecated) and ``telemetry=`` feed a
-        :mod:`repro.runner.telemetry` sink on both paths.
+        count.  ``telemetry=`` feeds a :mod:`repro.runner.telemetry` sink
+        on both paths.
         """
         from repro.runner import execute_plan, plan_campaign
         from repro.runner.telemetry import ProgressTracker, coerce_sink
         from repro.runner.journal import result_to_record
 
+        sink = coerce_sink(telemetry)
         if workers is not None or journal is not None:
             plan = plan_campaign(self.points, experiments, duration,
                                  seed=self.seed)
             return execute_plan(
                 self, plan, workers=1 if workers is None else workers,
-                journal=journal, resume=resume,
-                telemetry=coerce_sink(progress=progress, telemetry=telemetry),
+                journal=journal, resume=resume, telemetry=sink,
                 keep_results=keep_results, timeout=timeout, retries=retries)
 
-        sink = coerce_sink(progress=progress, telemetry=telemetry)
         summary = CampaignSummary(duration=duration, keep_results=keep_results)
         sampled = sample_points(self.points, experiments, self.rng)
         tracker = ProgressTracker(sink, duration, experiments,
                                   perf=self.perf_rates)
         tracker.start()
-        if self.batched:
-            # Identical RNG discipline to the per-experiment loop below:
-            # inject_at and the hybrid spot decision come from the same
-            # two streams in the same order, then the entries run in
-            # batch_size groups through the engine.
-            span = max(int(self.golden_length * 0.85), 1)
-            entries = []
-            for point in sampled:
-                inject_at = self.rng.randrange(0, span)
-                spot = (self.hybrid and
-                        self._spot_rng.random() < self.spot_check_rate)
-                entries.append((point.spec, duration, inject_at, spot))
-            for lo in range(0, len(entries), self.batch_size):
-                for result in self._run_batch_entries(
-                        entries[lo:lo + self.batch_size]):
-                    summary.add(result)
-                    tracker.experiment(result_to_record(result))
-        else:
-            for point in sampled:
-                result = self.run_experiment(point.spec, duration)
+        span = self._inject_span()
+        entries = [(point.spec, duration, self.rng.randrange(0, span))
+                   for point in sampled]
+        for lo in range(0, len(entries), BATCH_SIZE):
+            for result in self._run_entries(entries[lo:lo + BATCH_SIZE]):
                 summary.add(result)
                 tracker.experiment(result_to_record(result))
         tracker.finish()
         return summary
 
-    def run_both(self, experiments=1000, progress=None, workers=None,
-                 journal=None, resume=False, telemetry=None,
-                 keep_results=True, timeout=None, retries=2):
+    def run_both(self, experiments=1000, workers=None, journal=None,
+                 resume=False, telemetry=None, keep_results=True,
+                 timeout=None, retries=2):
         """Transient + permanent campaigns (the two rows of Table 1).
 
         A single ``journal`` file holds both rows (experiment ids are
         duration-prefixed), so one ``--resume`` covers the whole table.
         """
         return {
-            duration: self.run(experiments, duration, progress=progress,
-                               workers=workers, journal=journal,
-                               resume=resume, telemetry=telemetry,
+            duration: self.run(experiments, duration, workers=workers,
+                               journal=journal, resume=resume,
+                               telemetry=telemetry,
                                keep_results=keep_results, timeout=timeout,
                                retries=retries)
             for duration in (TRANSIENT, PERMANENT)

@@ -204,16 +204,20 @@ def decode(word):
 # for a fault-injection experiment reuses the decodes of every previous
 # one instead of re-decoding the same static words.  DecodeErrors are
 # memoized too (the fault campaign repeatedly feeds the same corrupted
-# words).  The memo is cleared, not evicted, if it ever grows absurd -
-# distinct words are bounded by the static program text plus the fault
-# masks applied to it, so in practice it stays small.
+# words), as fresh instances that were never raised: a caught error's
+# traceback would pin the frames - and through them the core and its
+# campaign - of the first caller forever.  The memo is cleared, not
+# evicted, if it ever grows absurd - distinct words are bounded by the
+# static program text plus the fault masks applied to it, so in practice
+# it stays small.
 
 _DECODE_CACHE = {}
 _DECODE_CACHE_LIMIT = 1 << 20
 
 
 def _decode_memo(word):
-    """Instr for ``word``, or the cached DecodeError instance."""
+    """Instr for ``word``, or a never-raised DecodeError describing why
+    it does not decode."""
     hit = _DECODE_CACHE.get(word)
     if hit is None:
         if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
@@ -221,7 +225,7 @@ def _decode_memo(word):
         try:
             hit = decode(word)
         except DecodeError as exc:
-            hit = exc
+            hit = DecodeError(*exc.args)
         _DECODE_CACHE[word] = hit
     return hit
 
@@ -230,7 +234,7 @@ def decode_cached(word):
     """Memoized :func:`decode`: same contract, shared across all cores."""
     hit = _decode_memo(word)
     if type(hit) is not Instr:
-        raise hit
+        raise DecodeError(*hit.args)
     return hit
 
 

@@ -16,8 +16,7 @@ bounded runs.  This package decouples *what* a campaign computes
   with checkpoint/resume: a killed campaign restarts where it stopped,
   skipping already-journaled experiment ids.
 * :mod:`repro.runner.telemetry` - structured progress events
-  (throughput, ETA, live per-checker attribution) with pluggable sinks;
-  replaces the old ``print``-based ``progress=`` hook.
+  (throughput, ETA, live per-checker attribution) with pluggable sinks.
 
 Entry points: ``Campaign.run(..., workers=, journal=, resume=)`` and the
 ``argus-repro campaign`` CLI subcommand.  See ``docs/CAMPAIGNS.md``.

@@ -35,13 +35,12 @@ _RESULT_FIELDS = (
 
 #: Fields added after journal version 1 shipped; absent in old journals
 #: (and in records produced by old writers), so reads fall back to the
-#: default instead of raising.
+#: default instead of raising.  Keys a reader does not know (fields
+#: retired since they were written) are ignored.
 _RESULT_DEFAULTS = {
-    "synthesized": "",
-    "spot_check": False,
     # Structured detector attribution (checker id, firing site, latency
-    # triple, raw residues) - None (elided) for undetected/synthesized
-    # outcomes and in every pre-diagnosis journal.
+    # triple, raw residues) - None (elided) for undetected outcomes and
+    # in every pre-diagnosis journal.
     "attribution": None,
 }
 
@@ -59,7 +58,7 @@ def result_to_record(result):
     record = {field: getattr(result, field) for field in _RESULT_FIELDS}
     for field, default in _RESULT_DEFAULTS.items():
         value = getattr(result, field)
-        if value != default:  # keep pre-hybrid records byte-identical
+        if value != default:  # keep older records byte-identical
             record[field] = value
     spec = result.spec
     record["spec"] = None if spec is None else {

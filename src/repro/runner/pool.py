@@ -25,6 +25,7 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.faults.campaign import BATCH_SIZE
 from repro.runner.journal import (Journal, JournalError, record_to_result,
                                   result_to_record)
 from repro.runner.telemetry import ProgressTracker, coerce_sink
@@ -40,15 +41,13 @@ _WORKER_CAMPAIGN = None
 def _campaign_config(campaign):
     """The constructor arguments a worker needs to mirror ``campaign``.
 
-    Includes the checkpoint and batched-execution knobs, so each worker
-    builds its golden checkpoint set (and batched engine, when enabled)
-    exactly once in the pool initializer and every experiment it runs
-    warm-starts from it.
+    Includes the checkpoint knobs, so each worker builds its golden
+    checkpoint set exactly once in the pool initializer and every batch
+    it runs goes through its own engine (or, on the reference path,
+    replays cold).
     """
     return (campaign.embedded, campaign.run_slack, campaign.use_checkpoints,
-            campaign.checkpoint_interval, campaign.max_checkpoints,
-            campaign.hybrid, campaign.spot_check_rate,
-            campaign.batched, campaign.batch_size, campaign.backend)
+            campaign.checkpoint_interval, campaign.max_checkpoints)
 
 
 def _init_worker(config):
@@ -57,19 +56,14 @@ def _init_worker(config):
     global _WORKER_CAMPAIGN
     from repro.faults.campaign import Campaign
 
-    (embedded, run_slack, use_checkpoints,
-     checkpoint_interval, max_checkpoints, hybrid, spot_check_rate,
-     batched, batch_size, backend) = config
+    (embedded, run_slack, use_checkpoints, checkpoint_interval,
+     max_checkpoints) = config
     _WORKER_CAMPAIGN = Campaign(
         embedded=embedded, run_slack=run_slack,
         use_checkpoints=use_checkpoints,
         checkpoint_interval=checkpoint_interval,
-        max_checkpoints=max_checkpoints,
-        hybrid=hybrid, spot_check_rate=spot_check_rate,
-        batched=batched, batch_size=batch_size, backend=backend)
+        max_checkpoints=max_checkpoints)
     _WORKER_CAMPAIGN.golden_trace()
-    if hybrid:
-        _WORKER_CAMPAIGN.timeline()
 
 
 def _run_batch(batch):
@@ -82,14 +76,8 @@ def _run_batch(batch):
     """
     campaign = _WORKER_CAMPAIGN
     before = dict(campaign.perf)
-    if campaign.batched:
-        pairs = [(exp.experiment_id, result_to_record(result))
-                 for exp, result in zip(batch,
-                                        campaign.run_planned_batch(batch))]
-    else:
-        pairs = [(exp.experiment_id,
-                  result_to_record(campaign.run_planned(exp)))
-                 for exp in batch]
+    pairs = [(exp.experiment_id, result_to_record(result))
+             for exp, result in zip(batch, campaign.run_planned_batch(batch))]
     perf = {key: value - before.get(key, 0)
             for key, value in campaign.perf.items()}
     return {"pairs": pairs, "perf": perf}
@@ -235,7 +223,7 @@ def execute_plan(campaign, plan, workers=1, journal=None, resume=False,
     ``retries`` bounds fresh-pool attempts after crashes or hangs before
     the serial fallback.
     """
-    sink = coerce_sink(telemetry=telemetry)
+    sink = coerce_sink(telemetry)
     workers = default_workers() if workers == 0 else max(1, int(workers or 1))
 
     owned_journal = journal is not None and not isinstance(journal, Journal)
@@ -269,17 +257,11 @@ def execute_plan(campaign, plan, workers=1, journal=None, resume=False,
             tracker.experiment(record)
 
         if workers <= 1 or len(pending) <= 1:
-            if campaign.batched and len(pending) > 1:
-                size = campaign.batch_size
-                for lo in range(0, len(pending), size):
-                    chunk = pending[lo:lo + size]
-                    for exp, result in zip(
-                            chunk, campaign.run_planned_batch(chunk)):
-                        commit(exp.experiment_id, result_to_record(result))
-            else:
-                for exp in pending:
-                    commit(exp.experiment_id,
-                           result_to_record(campaign.run_planned(exp)))
+            for lo in range(0, len(pending), BATCH_SIZE):
+                chunk = pending[lo:lo + BATCH_SIZE]
+                for exp, result in zip(chunk,
+                                       campaign.run_planned_batch(chunk)):
+                    commit(exp.experiment_id, result_to_record(result))
         else:
             _run_parallel(campaign, pending, workers, commit, timeout,
                           retries, batch_size)

@@ -8,8 +8,8 @@ and one at completion.  Sinks decide what to do with them:
   throughput and ETA, rate-limited to one line per ``interval`` seconds;
 * :class:`CallbackTelemetry` - machine-readable: forwards every event to
   a callable (dashboards, tests, schedulers);
-* :class:`LegacyPrintTelemetry` - byte-compatible with the old
-  ``Campaign.run(progress=N)`` stdout lines;
+* :class:`LegacyPrintTelemetry` - a stdout line every N experiments
+  (the format of the paper report's progress lines);
 * :class:`JsonlTelemetry` - appends every event as one JSON line to a
   file (the campaign service streams these back over
   ``GET /jobs/<id>/events``; the CLI exposes it as
@@ -17,14 +17,13 @@ and one at completion.  Sinks decide what to do with them:
 * :class:`TeeTelemetry` - fans every event out to several sinks;
 * :class:`NullTelemetry` - discard.
 
-``coerce_sink`` adapts what callers pass (a sink, a bare callable, the
-deprecated ``progress=N`` integer, or nothing) into a sink instance.
+``coerce_sink`` adapts what callers pass (a sink, a bare callable, or
+nothing) into a sink instance.
 """
 
 import json
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 
 EVENT_START = "start"
@@ -47,7 +46,7 @@ class TelemetryEvent:
     checker_counts: dict = field(default_factory=dict)
     # Wall-clock throughput counters (Campaign.perf_rates snapshot):
     # experiments/s, instructions/s, lane-eviction rate and the raw
-    # batched-engine counters.  None when the engine exposes none.
+    # engine counters.  None when the engine exposes none.
     perf: dict = None
 
     @property
@@ -116,7 +115,7 @@ class CallbackTelemetry(TelemetrySink):
 
 
 class LegacyPrintTelemetry(TelemetrySink):
-    """The old ``progress=N`` behaviour: a stdout line every N results."""
+    """A stdout line every N results (``  [transient] 200/800 experiments``)."""
 
     def __init__(self, every, stream=None):
         self.every = max(1, int(every))
@@ -220,26 +219,20 @@ class StderrTelemetry(TelemetrySink):
         return " | " + " ".join(cells)
 
 
-def coerce_sink(progress=None, telemetry=None):
-    """Adapt user-facing progress/telemetry arguments into one sink.
+def coerce_sink(telemetry=None):
+    """Adapt a user-facing ``telemetry`` argument into one sink.
 
-    ``telemetry`` wins: a TelemetrySink is used as-is and a bare
-    callable is wrapped in :class:`CallbackTelemetry`.  The legacy
-    ``progress=N`` integer still works but is deprecated.
+    A TelemetrySink is used as-is, a bare callable is wrapped in
+    :class:`CallbackTelemetry`, and None discards every event.
     """
-    if telemetry is not None:
-        if isinstance(telemetry, TelemetrySink):
-            return telemetry
-        if callable(telemetry):
-            return CallbackTelemetry(telemetry)
-        raise TypeError("telemetry must be a TelemetrySink or callable, "
-                        "got %r" % (telemetry,))
-    if progress is not None:
-        warnings.warn(
-            "Campaign.run(progress=N) is deprecated; pass telemetry= "
-            "(see repro.runner.telemetry)", DeprecationWarning, stacklevel=3)
-        return LegacyPrintTelemetry(progress)
-    return NullTelemetry()
+    if telemetry is None:
+        return NullTelemetry()
+    if isinstance(telemetry, TelemetrySink):
+        return telemetry
+    if callable(telemetry):
+        return CallbackTelemetry(telemetry)
+    raise TypeError("telemetry must be a TelemetrySink or callable, "
+                    "got %r" % (telemetry,))
 
 
 class ProgressTracker:

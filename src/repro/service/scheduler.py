@@ -50,6 +50,11 @@ _TERMINAL = (DONE, FAILED)
 
 DURATION_CHOICES = ("transient", "permanent", "both")
 
+#: Spec fields of execution modes since removed.  Job documents written
+#: before then still carry them; they never entered a content key or a
+#: result, so loading such a document drops them.
+_RETIRED_SPEC_FIELDS = ("hybrid", "spot_check_rate", "batched", "batch_size")
+
 
 class SpecError(ValueError):
     """A submitted campaign spec is malformed (HTTP 400)."""
@@ -132,25 +137,10 @@ class CampaignSpec:
     priority: int = 0
     plan_start: Optional[int] = None
     plan_stop: Optional[int] = None
-    # Analytic-hybrid execution.  Content-key-neutral by construction:
-    # experiment keys hash the binary digest + fault spec + derived seed
-    # (see store.plan_keys), never these knobs - and hybrid runs never
-    # *store* synthesized or spot-check records, so the shared cache
-    # only ever holds full-simulation results either mode can consume.
-    hybrid: bool = False
-    spot_check_rate: float = 0.05
-    # Batched (structure-of-arrays) execution.  Content-key-neutral like
-    # ``workers=``: the batched engine runs the very same per-experiment
-    # loops from identical warm-start states, so every experiment keeps
-    # its id, derived seed, classification and content key for any
-    # batched/batch_size setting (tests/test_batched.py proves it).
-    batched: bool = False
-    batch_size: int = 64
 
     _FIELDS = ("workload", "source", "experiments", "duration", "seed",
                "run_slack", "include_double_bits", "use_checkpoints",
-               "checkpoint_interval", "priority", "plan_start", "plan_stop",
-               "hybrid", "spot_check_rate", "batched", "batch_size")
+               "checkpoint_interval", "priority", "plan_start", "plan_stop")
 
     @classmethod
     def from_dict(cls, payload):
@@ -189,15 +179,6 @@ class CampaignSpec:
             raise SpecError("run_slack must be a positive number")
         if not isinstance(self.priority, int):
             raise SpecError("priority must be an int")
-        if not isinstance(self.hybrid, bool):
-            raise SpecError("hybrid must be a bool")
-        if not isinstance(self.spot_check_rate, (int, float)) \
-                or not 0.0 <= self.spot_check_rate <= 1.0:
-            raise SpecError("spot_check_rate must be a number in [0, 1]")
-        if not isinstance(self.batched, bool):
-            raise SpecError("batched must be a bool")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise SpecError("batch_size must be a positive int")
         if (self.plan_start is None) != (self.plan_stop is None):
             raise SpecError("plan_start and plan_stop go together")
         if self.plan_start is not None:
@@ -242,11 +223,7 @@ class CampaignSpec:
                         run_slack=self.run_slack,
                         include_double_bits=self.include_double_bits,
                         use_checkpoints=self.use_checkpoints,
-                        checkpoint_interval=self.checkpoint_interval,
-                        hybrid=self.hybrid,
-                        spot_check_rate=self.spot_check_rate,
-                        batched=self.batched,
-                        batch_size=self.batch_size)
+                        checkpoint_interval=self.checkpoint_interval)
 
 
 def _summary_to_dict(summary):
@@ -263,33 +240,7 @@ def _summary_to_dict(summary):
         "checker_counts": dict(summary.checker_counts),
         "unmasked_coverage": summary.unmasked_coverage,
         "masked_detection_rate": summary.masked_detection_rate,
-        "hybrid": {
-            "executed": summary.executed,
-            "synthesized_full": summary.synthesized_full,
-            "synthesized_partial": summary.synthesized_partial,
-            "spot_checks": summary.spot_checks,
-            "runs_saved": summary.runs_saved,
-        },
-        "quadrant_intervals": {
-            quadrant: list(bounds)
-            for quadrant, bounds in summary.quadrant_intervals().items()
-        },
     }
-
-
-def _storable(record):
-    """Only full-simulation results enter the shared content-addressed
-    store: synthesized records carry proof tags instead of latencies,
-    and spot-check records carry their verification flag - neither is
-    the neutral record a non-hybrid consumer of the same key expects.
-
-    ``attribution`` records (diagnosis payloads) are storable as-is:
-    content keys hash the binary digest + fault spec + derived seed,
-    never the record body, and executed detections produce the same
-    attribution on every engine - so enriched records are content-key
-    neutral and old store rows simply read back with attribution=None.
-    """
-    return not record.get("synthesized") and not record.get("spot_check")
 
 
 @dataclass
@@ -339,8 +290,11 @@ class Job:
 
     @classmethod
     def from_dict(cls, payload):
+        """Load a persisted job document (any version this code wrote)."""
+        spec = {name: value for name, value in payload["spec"].items()
+                if name not in _RETIRED_SPEC_FIELDS}
         return cls(job_id=payload["id"],
-                   spec=CampaignSpec.from_dict(payload["spec"]),
+                   spec=CampaignSpec.from_dict(spec),
                    state=payload["state"], error=payload.get("error"),
                    created=payload.get("created", 0.0),
                    started=payload.get("started"),
@@ -608,10 +562,12 @@ class JobScheduler:
 
         done = journal.done_ids(plan)
         if done:
-            # A resumed job's finished work also feeds the shared cache.
+            # A resumed job's finished work also feeds the shared cache -
+            # except records a retired execution mode synthesized from a
+            # proof (no latencies), which the engine would never write.
             self.store.put_many([(keys[eid], eid, journal.records[eid])
                                  for eid in done
-                                 if _storable(journal.records[eid])])
+                                 if "synthesized" not in journal.records[eid]])
         with self._lock:
             job.resumed += len(done)
             job.completed += len(done)
@@ -656,8 +612,7 @@ class JobScheduler:
 
         def commit(experiment_id, record):
             journal.append_result(experiment_id, record)
-            if _storable(record):
-                self.store.put(keys[experiment_id], experiment_id, record)
+            self.store.put(keys[experiment_id], experiment_id, record)
             with self._lock:
                 job.executed += 1
                 job.completed += 1
@@ -724,10 +679,6 @@ class JobScheduler:
                             for exp in batch]
             except (OSError, ValueError, PermissionError):
                 pass  # cannot spawn processes here; run in-process below
-        if campaign.batched and len(batch) > 1:
-            return [(exp.experiment_id, result_to_record(result))
-                    for exp, result in zip(batch,
-                                           campaign.run_planned_batch(batch))]
-        return [(exp.experiment_id,
-                 result_to_record(campaign.run_planned(exp)))
-                for exp in batch]
+        return [(exp.experiment_id, result_to_record(result))
+                for exp, result in zip(batch,
+                                       campaign.run_planned_batch(batch))]

@@ -1,32 +1,31 @@
-"""Differential proof that batched execution is a pure acceleration.
+"""Differential proof that the engine is a pure acceleration.
 
-The batched engine (:mod:`repro.cpu.batched`) classifies experiment
-phases analytically against the golden stream and evicts undecidable
-lanes to the very same scalar loops the unbatched campaign runs.  These
-tests pin the contract from the issue:
+The campaign's fast path hands experiments to the batched engine
+(:mod:`repro.cpu.batched`), which classifies experiment phases
+analytically against the golden stream and evicts undecidable lanes to
+the shared scalar loops.  The reference path
+(``Campaign(use_checkpoints=False)``) replays both runs of every
+experiment cold from instruction 0.  These tests pin that the two write
+*bit-identical* journal records:
 
-* **workload sweep** - several workloads x transient/permanent produce
-  *bit-identical* journal records batched vs scalar;
+* **workload sweep** - the small, stress and fuzz programs at 40
+  experiments per duration, and the benchmark's long programs (mesa,
+  g721_dec, adpcm_enc) at a few planned experiments per duration;
 * **forced divergence** - traps (corrupted instruction words), wild
   jumps (branch-target upsets) and hangs (watchdog stalls) all evict to
-  the scalar path and classify identically;
-* **grouping invariance** - batch_size 1, 7 and 64 agree, and
-  ``run_planned_batch`` of any chunking equals ``run_planned`` one by
-  one (the property the pool and the service scheduler lean on);
-* **composition** - batched + checkpoints + hybrid synthesis together
-  still match the scalar hybrid campaign;
-* **content-key neutrality** - experiment keys and campaign specs are
-  unchanged by the batched/batch_size knobs, like ``workers=``;
-* **backend** - the numpy column backend (when numpy is installed) is
-  record-identical to the list/bisect backend, and backend resolution
-  honours the explicit flag and the ``ARGUS_REPRO_NUMPY`` env opt-in.
+  the scalar loops and classify identically;
+* **grouping invariance** - engine batches of 1, 7 and 64 and ragged
+  chunks of a plan all equal the reference, experiment by experiment
+  (the property the pool and the service scheduler lean on);
+* **routing** - intermittent faults and the reference path never reach
+  the engine; the ignored ``batched`` keyword is still accepted.
 """
 
-import builtins
+import bisect
 
 import pytest
 
-from repro.cpu.batched import BatchedEngine, resolve_backend
+from repro.cpu.batched import BatchedEngine
 from repro.faults.campaign import Campaign
 from repro.faults.model import INTERMITTENT, PERMANENT, TRANSIENT, FaultSpec
 from repro.faults.stress import build_stress_program
@@ -34,9 +33,10 @@ from repro.runner.journal import result_to_record
 from repro.runner.plan import plan_campaign
 from repro.runner.pool import execute_plan
 from repro.runner.telemetry import event_to_dict
-from repro.service.scheduler import CampaignSpec, SpecError
+from repro.service.scheduler import Job
+from repro.service.store import plan_keys
 from repro.toolchain import embed_program
-from repro.workloads import MESA
+from repro.workloads import WORKLOADS as BUNDLED
 from repro.workloads.fuzz import generate_program
 
 SMALL = """
@@ -66,34 +66,72 @@ def _embedded(name):
             "small": lambda: embed_program(SMALL),
             "stress": build_stress_program,
             "fuzz": lambda: embed_program(generate_program(1234)),
-            "mesa": MESA.build_embedded,
         }
-        _EMBEDDED[name] = builders[name]()
+        builder = builders.get(name, lambda: BUNDLED[name].build_embedded())
+        _EMBEDDED[name] = builder()
     return _EMBEDDED[name]
 
 
-WORKLOADS = ["small", "stress", "fuzz", "mesa"]
+#: Experiments per duration.  The short programs run serial campaigns;
+#: the long ones a few planned experiments, because every reference
+#: experiment replays tens of thousands of instructions twice.
+WORKLOADS = {"small": 40, "stress": 40, "fuzz": 40,
+             "mesa": 3, "g721_dec": 2, "adpcm_enc": 2}
+LONG = ("mesa", "g721_dec", "adpcm_enc")
 DURATIONS = [TRANSIENT, PERMANENT]
 
+_LONG_CAMPAIGNS = {}
 
-def _records(campaign, experiments, duration):
-    summary = campaign.run(experiments=experiments, duration=duration)
-    return [result_to_record(result) for result in summary.results]
+
+def _records(results):
+    return [result_to_record(result) for result in results]
+
+
+def _long_campaigns(name):
+    """(engine, reference) campaigns of a long program, built once: the
+    planned path is stateless, so both durations share their golden runs."""
+    if name not in _LONG_CAMPAIGNS:
+        embedded = _embedded(name)
+        _LONG_CAMPAIGNS[name] = (
+            Campaign(embedded=embedded, seed=21),
+            Campaign(embedded=embedded, seed=21, use_checkpoints=False))
+    return _LONG_CAMPAIGNS[name]
+
+
+def _planned_sample(campaign, count, duration):
+    """The first ``count`` experiments of a seed-pinned plan whose fault
+    can reach a datapath (an ``inert.*`` point proves nothing here)."""
+    plan = plan_campaign(campaign.points, 40, duration, seed=campaign.seed)
+    return [exp for exp in plan.experiments
+            if not exp.spec.target.startswith("inert.")][:count]
 
 
 # -- workload sweep --------------------------------------------------------
 
 @pytest.mark.parametrize("duration", DURATIONS)
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", list(WORKLOADS))
 def test_batched_matches_scalar(name, duration):
-    """Same seed, same workload: batched records == scalar records."""
-    embedded = _embedded(name)
-    scalar = Campaign(embedded=embedded, seed=21)
-    batched = Campaign(embedded=embedded, seed=21, batched=True,
-                       batch_size=16)
-    assert _records(batched, 40, duration) == _records(scalar, 40, duration)
-    assert batched.perf["lanes"] > 0
-    assert batched.perf["experiments"] == 40
+    """Same experiments: engine records == cold reference records."""
+    count = WORKLOADS[name]
+    if name in LONG:
+        engine, reference = _long_campaigns(name)
+        sample = _planned_sample(engine, count, duration)
+        assert len(sample) == count
+        got = _records(engine.run_planned_batch(sample))
+        want = _records(reference.run_planned_batch(sample))
+    else:
+        embedded = _embedded(name)
+        engine = Campaign(embedded=embedded, seed=21)
+        reference = Campaign(embedded=embedded, seed=21,
+                             use_checkpoints=False)
+        got = _records(engine.run(experiments=count,
+                                  duration=duration).results)
+        want = _records(reference.run(experiments=count,
+                                      duration=duration).results)
+        assert engine.perf["experiments"] == count
+    assert got == want
+    assert engine.perf["lanes"] > 0
+    assert reference.perf["lanes"] == 0
 
 
 # -- forced divergence: every eviction flavour -----------------------------
@@ -115,16 +153,14 @@ EVICTION_CASES = [
                          ids=[case[0] for case in EVICTION_CASES])
 def test_forced_divergence_evicts_identically(label, spec, duration):
     embedded = _embedded("stress")
-    scalar = Campaign(embedded=embedded, seed=3)
-    batched = Campaign(embedded=embedded, seed=3, batched=True)
-    scalar.golden_trace()
+    engine = Campaign(embedded=embedded, seed=3)
+    reference = Campaign(embedded=embedded, seed=3, use_checkpoints=False)
     inject_ats = [5, 57, 203]
-    got = batched._run_batch_entries(
-        [(spec, duration, at, False) for at in inject_ats])
-    want = [scalar._execute(spec, duration, at) for at in inject_ats]
-    assert ([result_to_record(r) for r in got]
-            == [result_to_record(r) for r in want])
-    assert batched.perf["evicted_lanes"] > 0
+    got = engine._run_entries([(spec, duration, at) for at in inject_ats])
+    want = [reference.run_experiment(spec, duration, inject_at=at)
+            for at in inject_ats]
+    assert _records(got) == _records(want)
+    assert engine.perf["evicted_lanes"] > 0
 
 
 def test_rf_transient_read_on_checkpoint_boundary():
@@ -132,12 +168,10 @@ def test_rf_transient_read_on_checkpoint_boundary():
     exactly on a checkpoint-interval boundary must not falsely
     reconverge - the lane's flip has to be applied before the masking
     loop's entry-step reconvergence probe."""
-    import bisect
-
     embedded = _embedded("stress")
-    batched = Campaign(embedded=embedded, seed=0, batched=True)
-    engine = batched._engine_or_none()
-    interval = batched.checkpoints().interval
+    campaign = Campaign(embedded=embedded, seed=0)
+    engine = campaign._engine_or_none()
+    interval = campaign.checkpoints().interval
     found = None
     for reg in range(1, 32):
         for step in engine._reg_reads[reg]:
@@ -158,142 +192,129 @@ def test_rf_transient_read_on_checkpoint_boundary():
         pytest.skip("no boundary-aligned register read in this golden run")
     reg, inject_at = found
     spec = FaultSpec("state.rf.value", 2, index=reg, is_state=True)
-    scalar = Campaign(embedded=embedded, seed=0)
-    scalar.golden_trace()
-    got = batched._run_batch_entries([(spec, TRANSIENT, inject_at, False)])
-    want = scalar._execute(spec, TRANSIENT, inject_at)
-    assert result_to_record(got[0]) == result_to_record(want)
+    reference = Campaign(embedded=embedded, seed=0, use_checkpoints=False)
+    got = campaign._run_entries([(spec, TRANSIENT, inject_at)])
+    want = reference.run_experiment(spec, TRANSIENT, inject_at=inject_at)
+    assert _records(got) == _records([want])
 
 
 # -- grouping invariance ---------------------------------------------------
 
 def test_batch_size_equivalence():
-    """batch_size 1, 7 and 64 produce identical records."""
+    """Engine batches of 1, 7 and 64 all equal the reference."""
     embedded = _embedded("stress")
-    reference = None
+    reference = Campaign(embedded=embedded, seed=9, use_checkpoints=False)
+    experiments = list(plan_campaign(reference.points, 50, TRANSIENT,
+                                     seed=9).experiments)
+    want = _records(reference.run_planned_batch(experiments))
     for size in (1, 7, 64):
-        campaign = Campaign(embedded=embedded, seed=9, batched=True,
-                            batch_size=size)
-        records = _records(campaign, 50, TRANSIENT)
-        if reference is None:
-            reference = records
-        else:
-            assert records == reference
+        engine = Campaign(embedded=embedded, seed=9)
+        got = []
+        for lo in range(0, len(experiments), size):
+            got.extend(_records(engine.run_planned_batch(
+                experiments[lo:lo + size])))
+        assert got == want, size
 
 
 def test_planned_batch_matches_planned_one_by_one():
-    """Any chunking of a plan equals running each experiment alone."""
+    """Ragged chunks of a plan equal the reference run one by one."""
     embedded = _embedded("stress")
-    scalar = Campaign(embedded=embedded, seed=4)
-    plan = plan_campaign(scalar.points, 30, TRANSIENT, seed=4)
-    want = [result_to_record(scalar.run_planned(exp))
+    reference = Campaign(embedded=embedded, seed=4, use_checkpoints=False)
+    plan = plan_campaign(reference.points, 30, TRANSIENT, seed=4)
+    want = [result_to_record(reference.run_planned(exp))
             for exp in plan.experiments]
-    batched = Campaign(embedded=embedded, seed=4, batched=True, batch_size=8)
+    engine = Campaign(embedded=embedded, seed=4)
     experiments = list(plan.experiments)
     got = []
-    for lo in (0, 11, 23):  # deliberately ragged chunks
-        hi = {0: 11, 11: 23, 23: 30}[lo]
-        got.extend(result_to_record(result) for result in
-                   batched.run_planned_batch(experiments[lo:hi]))
+    for lo, hi in ((0, 11), (11, 23), (23, 30)):  # deliberately ragged
+        got.extend(_records(engine.run_planned_batch(experiments[lo:hi])))
     assert got == want
 
 
 def test_execute_plan_batched_matches_scalar():
-    """The planned engine's serial batched path is plan-identical."""
+    """The planned engine's serial loop is plan-identical to the
+    reference path."""
     embedded = _embedded("stress")
-    scalar = Campaign(embedded=embedded, seed=5)
-    plan = plan_campaign(scalar.points, 32, PERMANENT, seed=5)
-    want = execute_plan(scalar, plan, workers=1)
-    batched = Campaign(embedded=embedded, seed=5, batched=True, batch_size=16)
-    got = execute_plan(batched, plan, workers=1)
-    assert ([result_to_record(r) for r in got.results]
-            == [result_to_record(r) for r in want.results])
-    assert batched.perf["experiments"] == 32
+    reference = Campaign(embedded=embedded, seed=5, use_checkpoints=False)
+    plan = plan_campaign(reference.points, 32, PERMANENT, seed=5)
+    want = execute_plan(reference, plan, workers=1)
+    engine = Campaign(embedded=embedded, seed=5)
+    got = execute_plan(engine, plan, workers=1)
+    assert _records(got.results) == _records(want.results)
+    assert engine.perf["experiments"] == 32
+    assert engine.perf["batches"] == 1
 
 
-# -- composition -----------------------------------------------------------
-
-@pytest.mark.parametrize("duration", DURATIONS)
-def test_hybrid_batched_composition(duration):
-    """batched + checkpoints + hybrid synthesis == scalar hybrid."""
-    embedded = _embedded("stress")
-    scalar = Campaign(embedded=embedded, seed=13, hybrid=True)
-    batched = Campaign(embedded=embedded, seed=13, hybrid=True,
-                       batched=True, batch_size=16)
-    assert _records(batched, 60, duration) == _records(scalar, 60, duration)
-
+# -- routing ---------------------------------------------------------------
 
 def test_batched_without_checkpoints_degrades_to_scalar():
-    """No checkpoint store -> no engine; results still correct."""
+    """The reference path builds no engine and still classifies like
+    the fast path."""
     embedded = _embedded("stress")
-    scalar = Campaign(embedded=embedded, seed=6, use_checkpoints=False)
-    batched = Campaign(embedded=embedded, seed=6, use_checkpoints=False,
-                       batched=True)
-    assert _records(batched, 20, TRANSIENT) == _records(scalar, 20, TRANSIENT)
-    assert batched._engine_or_none() is None
+    engine = Campaign(embedded=embedded, seed=6)
+    reference = Campaign(embedded=embedded, seed=6, use_checkpoints=False)
+    assert (_records(reference.run(experiments=20,
+                                   duration=TRANSIENT).results)
+            == _records(engine.run(experiments=20,
+                                   duration=TRANSIENT).results))
+    assert reference._engine_or_none() is None
+    assert isinstance(engine._engine_or_none(), BatchedEngine)
 
 
 def test_intermittent_entries_take_scalar_path():
-    """Durations the engine rejects route through the scalar loop."""
+    """Durations the engine rejects route through the scalar loops."""
     embedded = _embedded("stress")
-    scalar = Campaign(embedded=embedded, seed=8)
-    batched = Campaign(embedded=embedded, seed=8, batched=True)
-    scalar.golden_trace()
+    engine = Campaign(embedded=embedded, seed=8)
+    reference = Campaign(embedded=embedded, seed=8, use_checkpoints=False)
     spec = FaultSpec("ex.alu.result", 1 << 4)
-    got = batched._run_batch_entries([(spec, INTERMITTENT, 40, False)])
-    want = scalar._execute(spec, INTERMITTENT, 40)
-    assert result_to_record(got[0]) == result_to_record(want)
+    got = engine._run_entries([(spec, INTERMITTENT, 40)])
+    want = reference.run_experiment(spec, INTERMITTENT, inject_at=40)
+    assert _records(got) == _records([want])
+    assert engine.perf["lanes"] == 0
 
 
 def test_run_batch_rejects_unknown_duration():
-    campaign = Campaign(embedded=_embedded("stress"), batched=True)
-    engine = campaign._engine_or_none()
+    engine = Campaign(embedded=_embedded("stress"))._engine_or_none()
     assert isinstance(engine, BatchedEngine)
     spec = FaultSpec("ex.alu.result", 1 << 4)
     with pytest.raises(ValueError):
-        engine.run_batch([(spec, INTERMITTENT, 3, True, True)])
+        engine.run_batch([(spec, INTERMITTENT, 3)])
 
 
-# -- content-key / spec neutrality -----------------------------------------
-
-def test_campaign_spec_carries_batched_knobs():
-    spec = CampaignSpec.from_dict(
-        {"workload": "stress", "batched": True, "batch_size": 7})
-    spec.validate()
-    campaign = spec.build_campaign()
-    assert campaign.batched is True
-    assert campaign.batch_size == 7
-    assert spec.to_dict()["batched"] is True
-    with pytest.raises(SpecError):
-        CampaignSpec.from_dict({"batch_size": 0}).validate()
-    with pytest.raises(SpecError):
-        CampaignSpec.from_dict({"batched": 1}).validate()
+def test_batched_keyword_is_accepted_and_ignored():
+    """``batched`` no longer selects anything, but callers that still
+    pass it keep working; an empty batch builds the engine and returns
+    nothing."""
+    campaign = Campaign(embedded=_embedded("stress"), seed=1, batched=True)
+    assert campaign.run_planned_batch([]) == []
+    assert isinstance(campaign._engine, BatchedEngine)
+    assert campaign.perf["experiments"] == 0
 
 
 def test_experiment_keys_ignore_batched_knobs():
-    """Content keys hash binary + spec + seed - never execution knobs -
-    so batched and scalar runs share one result cache."""
-    from repro.service.store import plan_keys
-
-    scalar = Campaign(embedded=_embedded("stress"), seed=2)
-    plan = plan_campaign(scalar.points, 10, TRANSIENT, seed=2)
+    """A job document written while specs still carried the retired
+    execution knobs plans and keys its experiments exactly like one
+    without them: content keys hash binary + spec + seed only."""
+    plain = {"workload": "stress", "experiments": 10, "seed": 2}
+    retired = dict(plain, hybrid=True, spot_check_rate=0.5, batched=True,
+                   batch_size=7)
+    specs = [Job.from_dict({"id": "job-%d" % i, "spec": spec,
+                            "state": "queued"}).spec
+             for i, spec in enumerate((plain, retired))]
+    assert specs[0] == specs[1]
+    campaign = specs[1].build_campaign()
+    plan = plan_campaign(campaign.points, 10, TRANSIENT, seed=2)
     digest = "0" * 64
-    assert plan_keys(digest, plan, 1.25) == plan_keys(digest, plan, 1.25)
-    spec_a = CampaignSpec.from_dict({"workload": "stress"})
-    spec_b = CampaignSpec.from_dict(
-        {"workload": "stress", "batched": True, "batch_size": 7})
-    campaign_a, campaign_b = spec_a.build_campaign(), spec_b.build_campaign()
-    plan_a = plan_campaign(campaign_a.points, 10, TRANSIENT, seed=0)
-    plan_b = plan_campaign(campaign_b.points, 10, TRANSIENT, seed=0)
-    assert plan_a.fingerprint() == plan_b.fingerprint()
+    assert plan_keys(digest, plan, 1.25) == plan_keys(
+        digest, plan_campaign(specs[0].build_campaign().points, 10,
+                              TRANSIENT, seed=2), 1.25)
 
 
 # -- perf counters / telemetry ---------------------------------------------
 
 def test_perf_counters_and_telemetry_events():
     events = []
-    campaign = Campaign(embedded=_embedded("stress"), seed=2, batched=True,
-                        batch_size=8)
+    campaign = Campaign(embedded=_embedded("stress"), seed=2)
     campaign.run(experiments=24, duration=TRANSIENT, telemetry=events.append)
     perf = campaign.perf_rates()
     assert perf["experiments"] == 24
@@ -308,53 +329,12 @@ def test_perf_counters_and_telemetry_events():
 
 
 def test_scalar_campaign_also_reports_perf():
-    """Throughput counters exist (zero lanes) on the scalar path too."""
-    campaign = Campaign(embedded=_embedded("small"), seed=1)
+    """Throughput counters exist (zero lanes) on the reference path too."""
+    campaign = Campaign(embedded=_embedded("small"), seed=1,
+                        use_checkpoints=False)
     campaign.run(experiments=5, duration=TRANSIENT)
     perf = campaign.perf_rates()
     assert perf["experiments"] == 5
     assert perf["lanes"] == 0
     assert perf["eviction_rate"] == 0.0
     assert perf["experiments_per_second"] > 0
-
-
-# -- backend resolution and numpy column backend ---------------------------
-
-def test_resolve_backend_explicit_and_env(monkeypatch):
-    monkeypatch.delenv("ARGUS_REPRO_NUMPY", raising=False)
-    assert resolve_backend() == ("python", None)
-    assert resolve_backend("python") == ("python", None)
-    with pytest.raises(ValueError):
-        resolve_backend("vector")
-    for off in ("0", "false", "no", ""):
-        monkeypatch.setenv("ARGUS_REPRO_NUMPY", off)
-        assert resolve_backend()[0] == "python"
-    monkeypatch.setenv("ARGUS_REPRO_NUMPY", "1")
-    assert resolve_backend()[0] in ("numpy", "python")  # installed or not
-
-
-def test_resolve_backend_numpy_missing(monkeypatch):
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy":
-            raise ImportError("numpy unavailable")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    with pytest.raises(ValueError):
-        resolve_backend("numpy")  # explicit request must not degrade
-    monkeypatch.setenv("ARGUS_REPRO_NUMPY", "1")
-    assert resolve_backend() == ("python", None)  # env opt-in falls back
-
-
-def test_numpy_backend_records_identical():
-    pytest.importorskip("numpy")
-    embedded = _embedded("stress")
-    plain = Campaign(embedded=embedded, seed=17, batched=True, batch_size=16)
-    vectored = Campaign(embedded=embedded, seed=17, batched=True,
-                        batch_size=16, backend="numpy")
-    assert (_records(vectored, 60, TRANSIENT)
-            == _records(plain, 60, TRANSIENT))
-    assert vectored._engine.backend == "numpy"
-    assert plain._engine.backend == "python"

@@ -1,9 +1,13 @@
 """Tests for the fault-injection campaign orchestration and classification."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.faults.campaign import Campaign, CampaignSummary, ExperimentResult
 from repro.faults.model import PERMANENT, TRANSIENT, FaultSpec
+from repro.isa.decode import _DECODE_CACHE, DecodeError, decode_cached
 from repro.toolchain import embed_program
 
 SMALL = """
@@ -135,3 +139,32 @@ class TestSummary:
         a = Campaign(embedded=embed_program(SMALL), seed=9).run(experiments=25)
         b = Campaign(embedded=embed_program(SMALL), seed=9).run(experiments=25)
         assert a.fractions() == b.fractions()
+
+
+class TestLifetime:
+    def test_dropped_campaign_is_freed_after_an_undecodable_fetch(self):
+        """Regression: the shared decode memo cached the DecodeError it
+        caught, whose traceback pinned the faulty core - and through it
+        the whole campaign - for the life of the process."""
+        _DECODE_CACHE.clear()
+        campaign = Campaign(embedded=embed_program(SMALL), seed=1)
+        result = campaign.run_experiment(FaultSpec("if.inst", 1 << 27),
+                                         TRANSIENT, inject_at=5)
+        assert result.detected
+        assert any(isinstance(hit, DecodeError)
+                   for hit in _DECODE_CACHE.values())
+        alive = weakref.ref(campaign)
+        del campaign
+        gc.collect()
+        assert alive() is None
+
+    def test_decode_cached_raises_a_fresh_error_each_time(self):
+        word = 0x08000000  # an unassigned primary opcode
+        errors = []
+        for _ in range(2):
+            with pytest.raises(DecodeError) as excinfo:
+                decode_cached(word)
+            errors.append(excinfo.value)
+        assert errors[0] is not errors[1]
+        assert str(errors[0]) == str(errors[1])
+        assert _DECODE_CACHE[word].__traceback__ is None

@@ -186,13 +186,6 @@ class TestEngineDetails:
         with pytest.raises(JournalError):
             pool_mod.aggregate_records(plan, {})
 
-    def test_legacy_progress_keyword_still_prints(self, campaign, capsys):
-        with pytest.warns(DeprecationWarning):
-            campaign.run(experiments=4, duration=TRANSIENT, progress=2)
-        out = capsys.readouterr().out
-        assert "  [transient] 2/4 experiments" in out
-        assert "  [transient] 4/4 experiments" in out
-
     def test_batching_covers_every_experiment(self):
         pending = list(range(10))
         batches = pool_mod._make_batches(pending, workers=3, batch_size=None)

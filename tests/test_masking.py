@@ -1,10 +1,9 @@
 """Tests for the masking-timeline analyzer (:mod:`repro.analysis.masking`).
 
-The soundness suite is the static arm of the hybrid-campaign safety
-argument: every axis a :class:`TimelineVerdict` *proves* is differenced
-against a forced-injection simulation run of the same (point, time,
-duration).  A single disagreement here means synthesized campaign
-results cannot be trusted.
+The soundness suite differences every axis a :class:`TimelineVerdict`
+*proves* against a forced-injection simulation run of the same (point,
+time, duration).  A single disagreement here means a timeline proof
+(and the ARG019 cross-check built on it) cannot be trusted.
 """
 
 import pytest
@@ -198,7 +197,7 @@ class TestTimelineAudit:
                 == row["probes"] > 0
             assert 0.0 <= row["complete_fraction"] <= 1.0
             assert sum(row["rules"].values()) == row["probes"]
-        # The analyzer must prove something, or hybrid mode is pointless.
+        # The analyzer must prove something, or the timeline is pointless.
         assert stats[TRANSIENT]["complete_fraction"] > 0.3
 
 

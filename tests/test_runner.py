@@ -88,6 +88,36 @@ class TestRecords:
                                   masked=True, detected=False)
         assert record_to_result(result_to_record(result)) == result
 
+    def test_plain_records_stay_byte_identical(self):
+        # Optional fields are written only when they deviate from their
+        # defaults, so records of older writers hash and diff identically.
+        record = result_to_record(_result())
+        assert set(record) == {
+            "spec", "duration", "inject_at", "masked", "detected",
+            "checker", "detail", "activated_at", "latency_instructions",
+            "latency_cycles", "latency_blocks", "hung"}
+
+    def test_old_record_reads_with_defaults(self):
+        attribution = {"checker": "parity", "pc": 4096, "block_index": 1,
+                       "latency": {"instructions": 1, "cycles": 2,
+                                   "blocks": 0}}
+        record = result_to_record(_result())
+        record["attribution"] = attribution
+        assert record_to_result(record).attribution == attribution
+        record.pop("attribution")
+        assert record_to_result(record).attribution is None
+
+    def test_record_with_retired_fields_still_loads(self):
+        # Records once carried "synthesized"/"spot_check" (a retired
+        # execution mode); journals and store rows holding them load
+        # unchanged otherwise.
+        result = _result()
+        record = json.loads(json.dumps(result_to_record(result)))
+        record.update(synthesized="", spot_check=True)
+        assert record_to_result(record) == result
+        record["synthesized"] = "detection:parity-operand"
+        assert record_to_result(record) == result
+
 
 class TestJournal:
     def test_append_and_reload(self, plan, tmp_path):
@@ -272,12 +302,6 @@ class TestTelemetry:
                           CallbackTelemetry)
         with pytest.raises(TypeError):
             coerce_sink(telemetry=42)
-
-    def test_progress_keyword_is_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning):
-            sink = coerce_sink(progress=5)
-        assert isinstance(sink, LegacyPrintTelemetry)
-        assert sink.every == 5
 
     def test_jsonl_sink_writes_self_contained_lines(self, tmp_path):
         path = str(tmp_path / "events.jsonl")

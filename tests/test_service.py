@@ -20,7 +20,7 @@ import pytest
 
 from repro.faults.campaign import Campaign
 from repro.faults.model import TRANSIENT
-from repro.runner import Journal, plan_campaign
+from repro.runner import Journal, plan_campaign, result_to_record
 from repro.service import (CampaignSpec, JobScheduler, ResultStore,
                            ServiceClient, ServiceError, ServiceServer,
                            SpecError, binary_digest, experiment_key)
@@ -370,6 +370,51 @@ class TestRecovery:
         direct = direct_summary(experiments=20)
         assert resumed.summaries["transient"]["quadrants"] \
             == quadrants(direct)
+        store.close()
+
+    def test_recover_runs_jobs_persisted_with_retired_spec_fields(
+            self, tmp_path):
+        # A job document as written before the hybrid/batched execution
+        # modes were removed: every spec field, the retired ones too.
+        spec = dict(small_spec(experiments=6), run_slack=1.25,
+                    include_double_bits=True, use_checkpoints=True,
+                    checkpoint_interval=None, priority=0, plan_start=None,
+                    plan_stop=None, hybrid=True, spot_check_rate=0.05,
+                    batched=True, batch_size=64)
+        document = {"id": "job-0123456789ab", "spec": spec,
+                    "state": "running", "error": None, "created": 1.0,
+                    "started": 2.0, "finished": None, "total": 6,
+                    "completed": 0, "cached": 0, "executed": 0,
+                    "resumed": 0, "cache_hit_rate": 0.0, "summaries": {}}
+        store = ResultStore(":memory:")
+        scheduler = JobScheduler(store, str(tmp_path), workers=1)
+        with open(os.path.join(scheduler.jobs_dir,
+                               "job-0123456789ab.json"), "w") as handle:
+            json.dump(document, handle)
+        # Its journal holds one record that mode synthesized from a proof.
+        direct = direct_summary(experiments=6)
+        synthesized = dict(result_to_record(direct.results[0]),
+                           synthesized="both:test-rule")
+        journal = Journal(scheduler.journal_path("job-0123456789ab"))
+        journal.append_result("transient/000000", synthesized)
+        journal.close()
+        recovered = scheduler.recover()
+        assert [job.job_id for job in recovered] == ["job-0123456789ab"]
+        scheduler.start()
+        job = recovered[0]
+        deadline = time.monotonic() + 120
+        while not job.terminal and time.monotonic() < deadline:
+            time.sleep(0.02)
+        scheduler.shutdown(wait=True, timeout=10)
+        assert job.state == "done", job.error
+        assert job.resumed == 1 and job.executed == 5
+        assert job.summaries["transient"]["quadrants"] == quadrants(direct)
+        # The synthesized record stays out of the shared cache.
+        campaign = CampaignSpec.from_dict(small_spec()).build_campaign()
+        plan = plan_campaign(campaign.points, 6, TRANSIENT, seed=SEED)
+        keys = plan_keys(binary_digest(campaign.embedded), plan, 1.25)
+        assert [store.get(keys[eid]) is not None for eid in plan.ids] \
+            == [False] + [True] * 5
         store.close()
 
 
