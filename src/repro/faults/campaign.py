@@ -21,8 +21,10 @@ A campaign classifies experiments in exactly two ways, with identical
 results:
 
 * the **fast path** (default) hands experiments in batches to
-  :class:`repro.cpu.batched.BatchedEngine`, which decides what it can
-  from the golden trace and runs the rest through the shared loops of
+  :class:`repro.cpu.batched.BatchedEngine`, which settles what the
+  masking timeline (:mod:`repro.faults.timeline`) proves exactly, decides
+  branch flips and hangs from the golden trace, and runs the rest
+  through the shared loops of
   :mod:`repro.faults.execution`, warm-started from the golden run's
   checkpoints;
 * the **reference path** (``use_checkpoints=False``) replays both runs
@@ -44,6 +46,7 @@ from repro.faults.injector import SignalInjector
 from repro.faults.model import FaultSchedule, PERMANENT, TRANSIENT
 from repro.faults.points import build_point_population, sample_points
 from repro.faults.stress import build_stress_program
+from repro.faults.timeline import MaskingTimeline
 
 #: Experiments per engine batch on the serial paths.
 BATCH_SIZE = 64
@@ -218,6 +221,7 @@ class Campaign:
             "batches": 0,
             "lanes": 0,
             "synthesized_lanes": 0,
+            "timeline_lanes": 0,
             "evicted_lanes": 0,
             "sweep_instructions": 0,
             "lane_instructions": 0,
@@ -270,11 +274,12 @@ class Campaign:
         return self._checkpoints
 
     def timeline(self):
-        """The workload's :class:`~repro.analysis.masking.MaskingTimeline`
-        (built lazily from the golden trace, computed once)."""
+        """The workload's :class:`~repro.faults.timeline.MaskingTimeline`
+        (built lazily from the golden trace, computed once).  The engine
+        plans against it, so the first engine batch builds it - never
+        ``Campaign()`` or :meth:`golden_trace`, whose cost and memory
+        are the campaign's set-up."""
         if self._timeline is None:
-            from repro.analysis.masking import MaskingTimeline
-
             self._timeline = MaskingTimeline(self.embedded.program,
                                              self.golden_trace())
         return self._timeline
@@ -399,11 +404,13 @@ class Campaign:
         or None on the reference path.
 
         The engine leans on the golden checkpoint store (sweep jumps,
-        reconvergence views) and on the golden checkers-on run being
+        reconvergence views), on the golden checkers-on run being
         detection-clean - both guaranteed exactly when ``golden_trace``
-        kept its checkpoints.  Its module is imported with this one:
-        where bytecode is not cached, compiling it inside a service's
-        first job raised the process's peak memory by about 1 MB.
+        kept its checkpoints - and on :meth:`timeline`, its index of the
+        golden trace.  Its module and the timeline's are imported with
+        this one: where bytecode is not cached, compiling the engine
+        inside a service's first job raised the process's peak memory by
+        about 1 MB.
         """
         if self._engine is None:
             self.golden_trace()
@@ -411,7 +418,7 @@ class Campaign:
                 return None
             self._engine = repro.cpu.batched.BatchedEngine(
                 self.embedded, self._golden, self._golden_final,
-                self._checkpoints, self.run_slack)
+                self._checkpoints, self.run_slack, self.timeline())
         return self._engine
 
     def _run_entries(self, entries):

@@ -10,7 +10,9 @@ experiment cold from instruction 0.  These tests pin that the two write
 
 * **workload sweep** - the small, stress and fuzz programs at 40
   experiments per duration, and the benchmark's long programs (mesa,
-  g721_dec, adpcm_enc) at a few planned experiments per duration;
+  g721_dec, adpcm_enc) at a few planned experiments per duration
+  (``tests/test_timeline_oracle.py`` covers every timeline rule the
+  engine settles lanes with);
 * **forced divergence** - traps (corrupted instruction words), wild
   jumps (branch-target upsets) and hangs (watchdog stalls) all evict to
   the scalar loops and classify identically;
@@ -170,18 +172,18 @@ def test_rf_transient_read_on_checkpoint_boundary():
     loop's entry-step reconvergence probe."""
     embedded = _embedded("stress")
     campaign = Campaign(embedded=embedded, seed=0)
-    engine = campaign._engine_or_none()
+    timeline = campaign.timeline()
     interval = campaign.checkpoints().interval
     found = None
     for reg in range(1, 32):
-        for step in engine._reg_reads[reg]:
+        for step in timeline.reg_reads.get(reg, ()):
             if step == 0 or step % interval != 0:
                 continue
-            writes = engine._reg_writes[reg]
+            writes = timeline.reg_writes.get(reg, [])
             wi = bisect.bisect_left(writes, step)
             inject_at = (writes[wi - 1] + 1) if wi > 0 else 0
-            first_read, first_write = engine._reg_first_read_write(
-                reg, inject_at)
+            first_read = timeline.next_read(reg, inject_at)
+            first_write = timeline.next_write(reg, inject_at)
             if first_read == step and (first_write is None
                                        or first_write >= first_read):
                 found = (reg, inject_at)
@@ -323,9 +325,11 @@ def test_perf_counters_and_telemetry_events():
     assert 0.0 <= perf["eviction_rate"] <= 1.0
     assert perf["lanes"] == (perf["synthesized_lanes"]
                              + perf["evicted_lanes"])
+    assert 0 < perf["timeline_lanes"] <= perf["synthesized_lanes"]
     finish = [e for e in events if e.kind == "finish"][-1]
     assert finish.perf["experiments"] == 24
     assert event_to_dict(finish)["perf"]["lanes"] == finish.perf["lanes"]
+    assert finish.perf["timeline_lanes"] == perf["timeline_lanes"]
 
 
 def test_scalar_campaign_also_reports_perf():

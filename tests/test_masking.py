@@ -1,9 +1,10 @@
-"""Tests for the masking-timeline analyzer (:mod:`repro.analysis.masking`).
+"""Tests for the masking-timeline analyzer (:mod:`repro.analysis.masking`
+and its dynamic layer, :mod:`repro.faults.timeline`).
 
 The soundness suite differences every axis a :class:`TimelineVerdict`
-*proves* against a forced-injection simulation run of the same (point,
-time, duration).  A single disagreement here means a timeline proof
-(and the ARG019 cross-check built on it) cannot be trusted.
+*proves* against a cold scalar reference run of the same (point, time,
+duration).  A single disagreement here means a timeline proof (and the
+ARG019 cross-check and the engine lanes built on it) cannot be trusted.
 """
 
 import pytest
@@ -19,8 +20,10 @@ from repro.analysis.masking import (
     timeline_summary,
 )
 from repro.asm import assemble, parse
+from repro.cpu.batched import settled
 from repro.faults.campaign import Campaign
-from repro.faults.model import PERMANENT, TRANSIENT
+from repro.faults.model import PERMANENT, TRANSIENT, FaultSpec
+from repro.runner.journal import result_to_record
 from repro.toolchain import embed_program
 from repro.workloads import WORKLOADS
 
@@ -177,6 +180,37 @@ class TestTimelineVerdicts:
                                   campaign.golden_trace())
         assert rebuilt.length == campaign.golden_length
 
+    def test_lsu_addr_high_bits_are_masked(self, timeline):
+        """Loads and stores use only ``address & ADDR_MASK``: a flip above
+        it never reaches architectural state, but the address checker
+        still sees it at the first memory op."""
+        high = timeline.verdict(FaultSpec("lsu.addr", 1 << 31),
+                                duration=PERMANENT, inject_at=0)
+        assert (high.masked, high.detected) == (True, True)
+        assert high.rule == "lsu-addr-high"
+        assert high.checker == "computation"
+        low = timeline.verdict(FaultSpec("lsu.addr", 1 << 26),
+                               duration=PERMANENT, inject_at=0)
+        assert (low.masked, low.detected) == (None, True)
+        assert low.rule == "lsu-addr"
+
+    @pytest.mark.parametrize("duration", [TRANSIENT, PERMANENT])
+    def test_straddling_product_mask_is_not_masked(self, timeline, campaign,
+                                                   duration):
+        """Regression: a product mask straddling bit 31/32 also flips the
+        written low word, so ``mul-upper`` must not claim it masked."""
+        spec = FaultSpec("ex.mul.product", 0b11 << 31)
+        verdict = timeline.verdict(spec, duration=duration, inject_at=2)
+        reference = Campaign(embedded=campaign.embedded, seed=1,
+                             use_checkpoints=False)
+        want = reference.run_experiment(spec, duration, inject_at=2)
+        assert not want.masked
+        assert verdict.masked is False and verdict.rule == "mul-low"
+        assert verdict.activated_at == want.activated_at
+        engine = Campaign(embedded=campaign.embedded, seed=1)
+        got = engine.run_experiment(spec, duration, inject_at=2)
+        assert result_to_record(got) == result_to_record(want)
+
 
 class TestTimelineAudit:
     def test_no_arg019_on_small_program(self, timeline, campaign):
@@ -240,13 +274,17 @@ def _proven_probes(campaign, timeline):
 
 @pytest.mark.parametrize("name", SOUNDNESS_WORKLOADS)
 def test_soundness_vs_simulation(name):
-    """No axis the timeline proves may ever disagree with simulation."""
-    campaign = Campaign(embedded=WORKLOADS[name].build_embedded(), seed=7)
-    timeline = campaign.timeline()
-    probes = _proven_probes(campaign, timeline)
+    """No axis the timeline proves may ever disagree with the cold scalar
+    reference, and wherever the engine settles an axis from the verdict
+    its whole record must equal the reference record."""
+    embedded = WORKLOADS[name].build_embedded()
+    engine = Campaign(embedded=embedded, seed=7)
+    reference = Campaign(embedded=embedded, seed=7, use_checkpoints=False)
+    timeline = engine.timeline()
+    probes = _proven_probes(engine, timeline)
     assert probes, "the analyzer proved nothing on %s" % name
     for spec, duration, t, verdict in probes:
-        result = campaign.run_experiment(spec, duration, inject_at=t)
+        result = reference.run_experiment(spec, duration, inject_at=t)
         context = "%s %s@%d rule=%s" % (spec, duration, t, verdict.rule)
         if verdict.masked is not None:
             assert result.masked == verdict.masked, context
@@ -254,3 +292,6 @@ def test_soundness_vs_simulation(name):
             assert result.detected == verdict.detected, context
         if verdict.detected and verdict.checker is not None:
             assert result.checker == verdict.checker, context
+        if settled(verdict) != (None, None):
+            got = engine.run_experiment(spec, duration, inject_at=t)
+            assert result_to_record(got) == result_to_record(result), context
