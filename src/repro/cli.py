@@ -525,7 +525,6 @@ def cmd_serve(args):
     store = open_store(args.store or os.path.join(data_dir, "store.sqlite"))
     scheduler = JobScheduler(store, data_dir, workers=args.workers,
                              job_runners=args.job_runners,
-                             batch_size=args.batch_size,
                              retries=args.retries,
                              remote_store=(None if topology is None
                                            else PeerStore(topology)))
@@ -555,8 +554,8 @@ def cmd_serve(args):
                   % (len(recovered),
                      " ".join(job.job_id for job in recovered)), flush=True)
         await stop.wait()
-        print("drain: finishing the current batch, queued jobs resume "
-              "on restart ...", flush=True)
+        print("drain: stopping after the result being committed, "
+              "unfinished jobs resume on restart ...", flush=True)
 
     asyncio.run(_serve())
     if topology is not None:
@@ -1022,12 +1021,12 @@ def build_parser():
                             "(0 = one per available CPU, 1 = in-process)")
         p.add_argument("--job-runners", type=int, default=1,
                        help="jobs executing concurrently")
-        p.add_argument("--batch-size", type=int, default=None,
-                       help="experiments per worker batch (default: auto)")
         p.add_argument("--retries", type=int, default=3,
-                       help="per-batch retries (exponential backoff)")
+                       help="fresh-pool attempts after a worker crash or "
+                            "hang, then in-process")
         p.add_argument("--drain-timeout", type=float, default=None,
-                       help="seconds to wait for the current batch on drain")
+                       help="seconds to wait for running jobs to stop "
+                            "on drain")
 
     p = sub.add_parser(
         "serve",

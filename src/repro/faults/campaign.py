@@ -225,6 +225,7 @@ class Campaign:
             "evicted_lanes": 0,
             "sweep_instructions": 0,
             "lane_instructions": 0,
+            "pool_retries": 0,  # pool passes re-run after a crash or hang
         }
         self._timeline = None
         self._golden = None

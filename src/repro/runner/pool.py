@@ -109,12 +109,10 @@ def default_workers():
         return os.cpu_count() or 1
 
 
-def _make_batches(pending, workers, batch_size):
+def _make_batches(pending, workers):
     """Chunk pending experiments to amortize IPC without starving workers."""
-    if batch_size is None:
-        batch_size = max(1, min(32, len(pending) // (workers * 4) or 1))
-    return [pending[i:i + batch_size]
-            for i in range(0, len(pending), batch_size)]
+    size = max(1, min(32, len(pending) // (workers * 4) or 1))
+    return [pending[i:i + size] for i in range(0, len(pending), size)]
 
 
 def merge_perf(campaign, delta):
@@ -123,14 +121,13 @@ def merge_perf(campaign, delta):
         campaign.perf[key] = campaign.perf.get(key, 0) + value
 
 
-def _pool_pass(config, pending, workers, commit, timeout, batch_size,
-               on_perf=None):
+def _pool_pass(config, pending, workers, commit, timeout, on_perf=None):
     """One attempt at draining ``pending`` through a fresh process pool.
 
     Commits whatever completes; experiments still uncommitted afterwards
     (crash, hang, worker exception) are the caller's to retry.
     """
-    batches = _make_batches(pending, workers, batch_size)
+    batches = _make_batches(pending, workers)
     allowance = None
     if timeout is not None:
         allowance = timeout * max(len(batch) for batch in batches) + _TIMEOUT_GRACE
@@ -167,24 +164,35 @@ def _pool_pass(config, pending, workers, commit, timeout, batch_size,
         executor.shutdown(wait=not not_done, cancel_futures=True)
 
 
-def _run_parallel(campaign, pending, workers, commit, timeout, retries,
-                  batch_size):
-    """Drain ``pending`` with retries, then serially for any stragglers."""
+def _run_serial(campaign, pending, commit):
+    """Run ``pending`` in-process, one engine batch per ``BATCH_SIZE``."""
+    for lo in range(0, len(pending), BATCH_SIZE):
+        chunk = pending[lo:lo + BATCH_SIZE]
+        for exp, result in zip(chunk, campaign.run_planned_batch(chunk)):
+            commit(exp.experiment_id, result_to_record(result))
+
+
+def _run_parallel(campaign, pending, workers, commit, timeout, retries):
+    """Drain ``pending`` with retries, then serially for any stragglers.
+
+    Every pool pass after the first counts in
+    ``campaign.perf["pool_retries"]``.
+    """
     remaining = {exp.experiment_id: exp for exp in pending}
 
     def commit_and_pop(experiment_id, record):
         if remaining.pop(experiment_id, None) is not None:
             commit(experiment_id, record)
 
-    for _attempt in range(max(0, retries) + 1):
+    for attempt in range(max(0, retries) + 1):
         if not remaining:
             return
+        if attempt:
+            campaign.perf["pool_retries"] += 1
         _pool_pass(_campaign_config(campaign), list(remaining.values()),
-                   workers, commit_and_pop, timeout, batch_size,
+                   workers, commit_and_pop, timeout,
                    on_perf=lambda delta: merge_perf(campaign, delta))
-    for exp in list(remaining.values()):
-        commit_and_pop(exp.experiment_id,
-                       result_to_record(campaign.run_planned(exp)))
+    _run_serial(campaign, list(remaining.values()), commit_and_pop)
 
 
 def aggregate_records(plan, records, keep_results=True):
@@ -210,7 +218,7 @@ def aggregate_records(plan, records, keep_results=True):
 
 def execute_plan(campaign, plan, workers=1, journal=None, resume=False,
                  telemetry=None, keep_results=True, timeout=None, retries=2,
-                 batch_size=None):
+                 on_record=None):
     """Execute a campaign plan and return its CampaignSummary.
 
     ``workers``: 0 means one per CPU; <=1 runs serially in-process.
@@ -221,7 +229,9 @@ def execute_plan(campaign, plan, workers=1, journal=None, resume=False,
     :class:`JournalError` (refusing to silently clobber a previous run).
     ``timeout`` is seconds per experiment (enforced per worker batch);
     ``retries`` bounds fresh-pool attempts after crashes or hangs before
-    the serial fallback.
+    the serial fallback.  ``on_record(experiment_id, record)`` runs
+    after each executed experiment has been journaled and tracked; an
+    exception it raises stops the plan there.
     """
     sink = coerce_sink(telemetry)
     workers = default_workers() if workers == 0 else max(1, int(workers or 1))
@@ -255,16 +265,14 @@ def execute_plan(campaign, plan, workers=1, journal=None, resume=False,
             if journal_obj is not None:
                 journal_obj.append_result(experiment_id, record)
             tracker.experiment(record)
+            if on_record is not None:
+                on_record(experiment_id, record)
 
         if workers <= 1 or len(pending) <= 1:
-            for lo in range(0, len(pending), BATCH_SIZE):
-                chunk = pending[lo:lo + BATCH_SIZE]
-                for exp, result in zip(chunk,
-                                       campaign.run_planned_batch(chunk)):
-                    commit(exp.experiment_id, result_to_record(result))
+            _run_serial(campaign, pending, commit)
         else:
             _run_parallel(campaign, pending, workers, commit, timeout,
-                          retries, batch_size)
+                          retries)
         tracker.finish()
     finally:
         if owned_journal and journal_obj is not None:

@@ -9,9 +9,10 @@ queue and a small pool of runner threads; each job is executed by
    the same seed),
 2. serving every experiment whose content key is already in the
    :class:`~repro.service.store.ResultStore` from cache,
-3. sharding the remaining cache misses into batches over the
-   :mod:`repro.runner.pool` workers with per-batch retry and
-   exponential backoff, and
+3. handing the remaining cache misses to
+   :func:`repro.runner.pool.execute_plan`, the path ``Campaign.run``
+   and the ``campaign`` CLI take (serial in-process batches, or one
+   process pool per plan with fresh-pool retries), and
 4. journaling every result (append-only JSONL, flushed per result) so a
    killed server loses nothing: on restart, jobs whose journal is
    incomplete are re-enqueued and resume exactly where they stopped -
@@ -21,8 +22,9 @@ queue and a small pool of runner threads; each job is executed by
 Durability model: every job persists a ``jobs/<id>.json`` metadata
 document (atomic rename) plus its journal and telemetry-event files.
 ``SIGTERM`` (wired by ``argus-repro serve``) triggers :meth:`drain`:
-runner threads stop at the next batch boundary, persist state, and the
-process exits; both in-flight and queued jobs complete after restart.
+each running job stops after the result it is committing, state is
+persisted, and the process exits; both in-flight and queued jobs
+complete after restart.
 """
 
 import json
@@ -34,10 +36,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.runner.journal import Journal, result_to_record
+from repro.runner.journal import Journal
 from repro.runner.plan import plan_campaign
-from repro.runner.pool import aggregate_records, default_workers
-from repro.runner.telemetry import JsonlTelemetry, ProgressTracker
+from repro.runner.pool import default_workers, execute_plan
+from repro.runner.telemetry import JsonlTelemetry
 from repro.service.store import binary_digest, plan_keys
 
 #: Job lifecycle states.
@@ -63,9 +65,8 @@ class SpecError(ValueError):
 class RetryPolicy:
     """Bounded exponential backoff: ``base * 2**attempt`` capped at ``cap``.
 
-    One policy object serves every retry loop in the stack - the
-    scheduler's batch execution, the HTTP client's idempotent GETs and
-    the fabric coordinator's dispatch/steal loop - so their failure
+    One policy object serves the HTTP client's idempotent GETs and the
+    fabric coordinator's dispatch/steal loop, so their failure
     behaviour is uniform and uniformly testable (``sleep`` is
     injectable).
     """
@@ -312,27 +313,22 @@ class JobScheduler:
 
     ``workers`` is the per-job campaign worker count (1 = in-process
     serial, 0 = auto via :func:`repro.runner.pool.default_workers`,
-    N>1 = a process pool per job); ``job_runners`` is how many jobs
-    execute concurrently.  ``sleep`` is injectable so tests can observe
-    the backoff schedule without waiting it out.
+    N>1 = a process pool per plan); ``job_runners`` is how many jobs
+    execute concurrently.  ``retries`` bounds the fresh-pool attempts
+    after a worker crash or hang before the plan's rest runs
+    in-process; an experiment error fails its job, with ``workers=1``
+    at once.
     """
 
     def __init__(self, store, data_dir, workers=1, job_runners=1,
-                 batch_size=None, retries=3, backoff_base=0.25,
-                 backoff_cap=8.0, sleep=time.sleep, remote_store=None):
+                 retries=3, remote_store=None):
         self.store = store
         self.data_dir = str(data_dir)
         self.jobs_dir = os.path.join(self.data_dir, "jobs")
         os.makedirs(self.jobs_dir, exist_ok=True)
         self.workers = default_workers() if workers == 0 else max(1, workers)
         self.job_runners = max(1, job_runners)
-        self.batch_size = batch_size
         self.retries = max(0, retries)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._sleep = sleep
-        self.retry = RetryPolicy(retries=self.retries, base=backoff_base,
-                                 cap=backoff_cap, sleep=sleep)
         #: Optional fabric hook: an object with ``lookup(keys) ->
         #: {key: record}`` that asks peer nodes for cache misses.  It is
         #: an optimization only - any failure degrades to local
@@ -470,7 +466,8 @@ class JobScheduler:
         return self
 
     def drain(self):
-        """Stop at the next batch boundary; queued jobs resume on restart."""
+        """Stop each running job after the result it is committing;
+        running and queued jobs resume on restart."""
         self._draining.set()
 
     def shutdown(self, wait=True, timeout=None):
@@ -554,9 +551,12 @@ class JobScheduler:
         finally:
             journal.close()
             sink.close()
+            with self._lock:
+                self._batches_retried += campaign.perf["pool_retries"]
 
     def _run_plan(self, job, campaign, digest, plan, journal, sink):
-        """One duration of one job: cache, then batches, then aggregate."""
+        """One duration of one job: cache, then ``execute_plan`` for
+        the misses."""
         journal.register_plan(plan)
         keys = plan_keys(digest, plan, job.spec.run_slack)
 
@@ -596,8 +596,6 @@ class JobScheduler:
                 with self._lock:
                     self._remote_hits += len(remote)
                 hits.update(remote)
-                misses = [exp for exp in misses
-                          if keys[exp.experiment_id] not in hits]
         for exp in pending:
             record = hits.get(keys[exp.experiment_id])
             if record is not None:
@@ -606,79 +604,16 @@ class JobScheduler:
                     job.cached += 1
                     job.completed += 1
 
-        tracker = ProgressTracker(sink, plan.duration, len(plan),
-                                  skipped=len(plan) - len(misses))
-        tracker.start()
-
         def commit(experiment_id, record):
-            journal.append_result(experiment_id, record)
             self.store.put(keys[experiment_id], experiment_id, record)
             with self._lock:
                 job.executed += 1
                 job.completed += 1
-            tracker.experiment(record)
-
-        for batch in self._make_batches(misses):
             if self._draining.is_set():
                 raise _DrainInterrupt()
-            self._run_batch_with_retry(campaign, batch, commit)
-        tracker.finish()
-        return aggregate_records(plan, journal.records, keep_results=False)
 
-    def _make_batches(self, pending):
-        size = self.batch_size
-        if size is None:
-            size = max(1, min(32, len(pending) // (self.workers * 4) or 1))
-        return [pending[i:i + size] for i in range(0, len(pending), size)]
-
-    def _run_batch_with_retry(self, campaign, batch, commit):
-        """Execute one batch, retrying with exponential backoff.
-
-        Retries cover transient failures (a crashed worker pool, an OS
-        resource blip); a deterministic experiment bug fails every
-        attempt and surfaces as the job's error after ``retries``
-        backoffs.
-        """
-        def count_retry(_attempt):
-            with self._lock:
-                self._batches_retried += 1
-
-        results = self.retry.call(
-            lambda: self._execute_batch(campaign, batch),
-            on_retry=count_retry)
-        for experiment_id, record in results:
-            commit(experiment_id, record)
-
-    def _execute_batch(self, campaign, batch):
-        """Run one batch of planned experiments; returns (id, record)s.
-
-        ``workers<=1`` runs in-process (no pool, clean tracebacks).
-        Larger counts use the :mod:`repro.runner.pool` worker protocol;
-        environments that cannot fork fall back to in-process execution.
-        """
-        if self.workers > 1 and len(batch) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.runner import pool as pool_mod
-
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=min(self.workers, len(batch)),
-                        initializer=pool_mod._init_worker,
-                        initargs=(pool_mod._campaign_config(campaign),)) \
-                        as executor:
-                    shards = [batch[i::self.workers]
-                              for i in range(self.workers)]
-                    shards = [shard for shard in shards if shard]
-                    results = []
-                    for chunk in executor.map(pool_mod._run_batch, shards):
-                        pool_mod.merge_perf(campaign, chunk["perf"])
-                        results.extend(chunk["pairs"])
-                    by_id = dict(results)
-                    return [(exp.experiment_id, by_id[exp.experiment_id])
-                            for exp in batch]
-            except (OSError, ValueError, PermissionError):
-                pass  # cannot spawn processes here; run in-process below
-        return [(exp.experiment_id, result_to_record(result))
-                for exp, result in zip(batch,
-                                       campaign.run_planned_batch(batch))]
+        # Every hit is journaled now, so resuming runs exactly the misses.
+        return execute_plan(campaign, plan, workers=self.workers,
+                            journal=journal, resume=True, telemetry=sink,
+                            keep_results=False, retries=self.retries,
+                            on_record=commit)

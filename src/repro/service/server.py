@@ -302,7 +302,9 @@ class ServiceServer:
         Lines are forwarded verbatim as they land (each one is a
         self-contained :func:`repro.runner.telemetry.event_to_dict`
         object); the stream ends - connection close - once the job is
-        terminal and the file is fully drained.
+        terminal and the file is fully drained.  The terminal check comes
+        before each read, so events written just before the job ended
+        are still forwarded.
         """
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: application/x-ndjson\r\n"
@@ -311,6 +313,7 @@ class ServiceServer:
         path = self.scheduler.events_path(job.job_id)
         offset = 0
         while True:
+            terminal = job.terminal
             if os.path.exists(path):
                 with open(path, "rb") as handle:
                     handle.seek(offset)
@@ -323,7 +326,7 @@ class ServiceServer:
                         writer.write(chunk[:cut + 1])
                         await writer.drain()
                         offset += cut + 1
-            if job.terminal:
+            if terminal:
                 return
             await asyncio.sleep(_EVENT_POLL_SECONDS)
 

@@ -188,9 +188,9 @@ class TestEngineDetails:
 
     def test_batching_covers_every_experiment(self):
         pending = list(range(10))
-        batches = pool_mod._make_batches(pending, workers=3, batch_size=None)
+        batches = pool_mod._make_batches(pending, workers=3)
         assert sorted(x for batch in batches for x in batch) == pending
-        assert pool_mod._make_batches([], 2, None) == []
+        assert pool_mod._make_batches([], 2) == []
 
 
 class TestCampaignCli:

@@ -21,7 +21,8 @@ import pytest
 from repro.faults.campaign import Campaign
 from repro.faults.model import TRANSIENT
 from repro.runner import Journal, plan_campaign, result_to_record
-from repro.service import (CampaignSpec, JobScheduler, ResultStore,
+from repro.runner import pool as pool_mod
+from repro.service import (CampaignSpec, Job, JobScheduler, ResultStore,
                            ServiceClient, ServiceError, ServiceServer,
                            SpecError, binary_digest, experiment_key)
 from repro.service.store import plan_keys
@@ -44,6 +45,10 @@ loop:   add  r2, r2, r1
 buf:    .word 0, 0
 """
 
+#: SMALL with a 200-iteration loop: a job of 160 experiments spans
+#: three in-process engine batches, long enough to kill mid-job.
+SLOW = SMALL.replace("li   r1, 6", "li   r1, 200")
+
 SEED = 11
 EXPERIMENTS = 16
 
@@ -55,8 +60,8 @@ def small_spec(**overrides):
     return spec
 
 
-def direct_summary(experiments=EXPERIMENTS, seed=SEED):
-    return Campaign(embedded=embed_program(SMALL), seed=seed).run(
+def direct_summary(experiments=EXPERIMENTS, seed=SEED, source=SMALL):
+    return Campaign(embedded=embed_program(source), seed=seed).run(
         experiments=experiments, duration=TRANSIENT, workers=1)
 
 
@@ -215,6 +220,26 @@ class TestEndToEnd:
         assert kinds.count("experiment") == 6
         assert events[-1]["completed"] == 6
 
+    def test_event_stream_forwards_events_written_as_the_job_ends(
+            self, service):
+        """The runner can append its last events and mark the job done
+        between two polls of the stream; those events still arrive."""
+        client, scheduler, _store = service
+
+        class EndingJob(Job):
+            @property
+            def terminal(self):
+                with open(scheduler.events_path(self.job_id), "a") as handle:
+                    handle.write(json.dumps({"kind": "finish"}) + "\n")
+                return True
+
+        job = EndingJob(job_id="job-0000000000ff",
+                        spec=CampaignSpec.from_dict(small_spec()))
+        with scheduler._lock:
+            scheduler._jobs[job.job_id] = job
+        events = list(client.events(job.job_id, timeout=30))
+        assert events and events[-1] == {"kind": "finish"}
+
     def test_identical_resubmission_is_pure_cache_hit(self, service):
         client, _scheduler, store = service
         first = client.wait(client.submit(small_spec())["id"], timeout=180)
@@ -273,53 +298,91 @@ class TestEndToEnd:
         assert len(client.jobs()) == 4
 
 
-# -- batch retry + backoff ---------------------------------------------------
+# -- one execution path ----------------------------------------------------
 
-class TestBackoff:
-    def _scheduler(self, tmp_path, fail_times, delays):
-        store = ResultStore(":memory:")
-        scheduler = JobScheduler(store, str(tmp_path), workers=1,
-                                 retries=3, backoff_base=0.25,
-                                 backoff_cap=8.0, sleep=delays.append)
-        real = scheduler._execute_batch
-        state = {"failures": 0}
+def _run_one_job(scheduler, spec, timeout=120):
+    """Run one job to a terminal state, then stop the scheduler."""
+    scheduler.start()
+    job = scheduler.submit(spec)
+    deadline = time.monotonic() + timeout
+    while not job.terminal and time.monotonic() < deadline:
+        time.sleep(0.02)
+    scheduler.shutdown(wait=True, timeout=10)
+    return job
 
-        def flaky(campaign, batch):
-            if state["failures"] < fail_times:
-                state["failures"] += 1
-                raise OSError("synthetic worker crash")
-            return real(campaign, batch)
 
-        scheduler._execute_batch = flaky
-        return scheduler, store
+class TestOnePath:
+    """Every plan's cache misses run through ``execute_plan``."""
 
-    def test_transient_batch_failures_back_off_exponentially(self, tmp_path):
-        delays = []
-        scheduler, _store = self._scheduler(tmp_path, fail_times=3,
-                                            delays=delays)
-        scheduler.start()
-        job = scheduler.submit(small_spec(experiments=4))
-        deadline = time.monotonic() + 120
-        while not job.terminal and time.monotonic() < deadline:
-            time.sleep(0.02)
-        scheduler.shutdown(wait=True, timeout=10)
-        assert job.state == "done"
-        assert delays == [0.25, 0.5, 1.0]  # base * 2**attempt
-        assert scheduler.metrics()["batches_retried"] == 3
+    def test_pooled_job_makes_one_pool_per_plan(self, tmp_path,
+                                               monkeypatch):
+        pools = []
 
-    def test_persistent_batch_failure_fails_the_job(self, tmp_path):
-        delays = []
-        scheduler, _store = self._scheduler(tmp_path, fail_times=99,
-                                            delays=delays)
-        scheduler.start()
-        job = scheduler.submit(small_spec(experiments=4))
-        deadline = time.monotonic() + 120
-        while not job.terminal and time.monotonic() < deadline:
-            time.sleep(0.02)
-        scheduler.shutdown(wait=True, timeout=10)
+        class CountingPool(pool_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", CountingPool)
+        scheduler = JobScheduler(ResultStore(":memory:"), str(tmp_path),
+                                 workers=2)
+        job = _run_one_job(scheduler, small_spec())
+        assert job.state == "done", job.error
+        assert pools == [2]
+        direct = direct_summary()
+        summary = job.summaries["transient"]
+        assert summary["quadrants"] == quadrants(direct)
+        assert summary["checker_counts"] == direct.checker_counts
+
+    def test_pool_pass_that_commits_nothing_is_retried(self, tmp_path,
+                                                       monkeypatch):
+        real = pool_mod._pool_pass
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(len(args[1]))
+            if len(calls) > 1:
+                real(*args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "_pool_pass", fail_once)
+        scheduler = JobScheduler(ResultStore(":memory:"), str(tmp_path),
+                                 workers=2)
+        job = _run_one_job(scheduler, small_spec())
+        assert job.state == "done", job.error
+        assert calls == [EXPERIMENTS, EXPERIMENTS]
+        assert job.executed == EXPERIMENTS
+        direct = direct_summary()
+        summary = job.summaries["transient"]
+        assert summary["quadrants"] == quadrants(direct)
+        assert summary["checker_counts"] == direct.checker_counts
+        assert scheduler.metrics()["batches_retried"] == 1
+
+    def test_experiment_error_fails_the_job_without_backoff(
+            self, tmp_path, monkeypatch):
+        attempts = []
+
+        def broken(_campaign, batch):
+            attempts.append(len(batch))
+            raise RuntimeError("synthetic experiment bug")
+
+        runner_sleeps = []
+        real_sleep = time.sleep
+
+        def watched_sleep(seconds):
+            if threading.current_thread().name.startswith("argus-job-runner"):
+                runner_sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(Campaign, "run_planned_batch", broken)
+        monkeypatch.setattr(time, "sleep", watched_sleep)
+        scheduler = JobScheduler(ResultStore(":memory:"), str(tmp_path),
+                                 workers=1)
+        job = _run_one_job(scheduler, small_spec())
         assert job.state == "failed"
-        assert "synthetic worker crash" in job.error
-        assert delays == [0.25, 0.5, 1.0]  # retries exhausted after 3
+        assert "synthetic experiment bug" in job.error
+        assert attempts == [EXPERIMENTS]  # run once, never re-attempted
+        assert runner_sleeps == []
+        assert scheduler.metrics()["batches_retried"] == 0
 
 
 # -- drain + crash recovery --------------------------------------------------
@@ -330,22 +393,32 @@ class TestRecovery:
         store_path = str(tmp_path / "store.sqlite")
         data_dir = str(tmp_path / "data")
         store = ResultStore(store_path)
-        scheduler = JobScheduler(store, data_dir, workers=1, batch_size=2)
+        scheduler = JobScheduler(store, data_dir, workers=1)
+        # Drain from inside the 4th executed result's commit, so the
+        # interruption point does not depend on timing.
+        real_put = store.put
+        puts = []
+        drained = threading.Event()
+
+        def put_then_drain(*args):
+            stored = real_put(*args)
+            puts.append(args[1])
+            if len(puts) == 4:
+                scheduler.drain()
+                drained.set()
+            return stored
+
+        store.put = put_then_drain
         scheduler.start()
         job = scheduler.submit(small_spec(experiments=20))
         journal_path = scheduler.journal_path(job.job_id)
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if os.path.exists(journal_path) \
-                    and job.executed >= 4:
-                break
-            time.sleep(0.01)
-        scheduler.drain()
+        assert drained.wait(timeout=120)
         scheduler.shutdown(wait=True, timeout=30)
         store.close()
         assert not job.terminal  # interrupted, not failed
         done_before = len(Journal(journal_path).load().records)
         assert 0 < done_before < 20
+        assert done_before == len(puts) == 4  # stopped after that result
 
         store = ResultStore(store_path)
         scheduler = JobScheduler(store, data_dir, workers=1)
@@ -425,7 +498,7 @@ def _start_server_subprocess(data_dir):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--data-dir", data_dir, "--batch-size", "2"],
+         "--data-dir", data_dir],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     address_path = os.path.join(data_dir, "server.json")
     deadline = time.monotonic() + 60
@@ -456,12 +529,13 @@ class TestKillRestart:
         quadrants bit-identical to a direct run."""
         data_dir = str(tmp_path / "data")
         os.makedirs(data_dir)
-        experiments = 24
+        experiments = 160  # three engine batches of SLOW
         proc, address = _start_server_subprocess(data_dir)
         try:
             client = ServiceClient(
                 "http://%s:%d" % (address["host"], address["port"]))
-            job = client.submit(small_spec(experiments=experiments))
+            job = client.submit(small_spec(source=SLOW,
+                                           experiments=experiments))
             journal_path = os.path.join(
                 data_dir, "jobs", "%s.journal.jsonl" % job["id"])
             deadline = time.monotonic() + 120
@@ -470,7 +544,7 @@ class TestKillRestart:
                     with open(journal_path) as handle:
                         done = sum(1 for line in handle
                                    if '"result"' in line)
-                    if done >= 4:
+                    if done >= 1:
                         break
                 time.sleep(0.02)
             else:
@@ -497,7 +571,7 @@ class TestKillRestart:
                        if json.loads(line).get("kind") == "result"]
             assert len(ids) == experiments
             assert len(set(ids)) == experiments
-            direct = direct_summary(experiments=experiments)
+            direct = direct_summary(experiments=experiments, source=SLOW)
             assert final["summaries"]["transient"]["quadrants"] \
                 == quadrants(direct)
         finally:
