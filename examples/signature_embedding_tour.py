@@ -67,7 +67,7 @@ def main():
         collector = PayloadCollector()
         for address in range(block.start, block.end, 4):
             word = program.word_at(address)
-            collector.add(decode(word), word)
+            collector.add(decode(word))
         assert collector.extract(block.kind) == block.fields
 
     print("\nentry DCS (program header): 0x%02x" % embedded.entry_dcs)

@@ -69,8 +69,8 @@ def check_packed_payload(cfg, report, dcs_by_block):
         if any(addr not in dcs_by_block for addr in targets.values()):
             continue
         collector = PayloadCollector()
-        for instr, word in zip(block.instrs, block.words):
-            collector.add(instr, word)
+        for instr in block.instrs:
+            collector.add(instr)
         try:
             packed = collector.extract(block.kind)
         except PayloadError:

@@ -9,6 +9,14 @@ value history to the wrong register still perturbs the DCS.
 
 The permutation here is a fixed pseudo-random table generated once from a
 constant seed - the software analogue of a hard-wired wire swizzle.
+
+Permute + XOR-fold is linear over GF(2), so the DCS of a whole SHS file is
+the XOR of each location's contribution on its own.  :func:`compute_dcs`
+therefore XORs one entry from each of 35 per-location, 32-entry tables,
+which equals the permute-and-fold of the whole file.  :func:`_fold_flat`
+stays the definition: the tables are built from its single-bit folds,
+and the static coverage audit's algebra (:func:`fold_delta`,
+:func:`single_bit_sensitivity`) uses it unchanged.
 """
 
 import random
@@ -49,12 +57,10 @@ def _fold_flat(flat):
 
 def compute_dcs(shs_values):
     """Fold a full SHS snapshot (35 x 5-bit values) into the 5-bit DCS."""
-    # Flatten location signatures into one bit vector, MSB of location 0
-    # first, mirroring the wide SHS register of Argus-1.
-    flat = 0
-    for value in shs_values:
-        flat = (flat << shs_mod.SHS_BITS) | (value & shs_mod.SHS_MASK)
-    return _fold_flat(flat)
+    dcs = 0
+    for row, value in zip(_TABLE, shs_values):
+        dcs ^= row[value & shs_mod.SHS_MASK]
+    return dcs
 
 
 def dcs_of_file(shs_file):
@@ -76,6 +82,24 @@ def dcs_of_file(shs_file):
 DCS_ALIASING_BOUND = 1.0 / (1 << DCS_BITS)
 
 
+def _build_table():
+    """``table[location][value]``: the DCS of the flat SHS vector holding
+    ``value`` at ``location`` and zeros elsewhere - by linearity, the XOR
+    of the single-bit folds of the value's set bits.  The flat vector puts
+    location 0 in the most significant bits, mirroring the wide SHS
+    register of Argus-1."""
+    single = single_bit_sensitivity()
+    last = shs_mod.NUM_LOCATIONS - 1
+    table = []
+    for location in range(shs_mod.NUM_LOCATIONS):
+        row = [0]
+        for bit in range(shs_mod.SHS_BITS):
+            delta = single[shs_mod.SHS_BITS * (last - location) + bit]
+            row += [dcs ^ delta for dcs in row]  # entries with ``bit`` set
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def fold_delta(flat_delta):
     """DCS perturbation caused by XORing ``flat_delta`` into the flat
     SHS vector (valid for any SHS contents, by linearity of the fold)."""
@@ -91,3 +115,6 @@ def single_bit_sensitivity():
     escape odds exactly the 1/32 collision bound rather than worse.
     """
     return {bit: _fold_flat(1 << bit) for bit in range(_TOTAL_BITS)}
+
+
+_TABLE = _build_table()

@@ -16,8 +16,14 @@ the convention shared by the static embedder and the hardware extractor:
   block's instructions in fetch order, MSB-first within each field.
   Payload positions are the format's spare bits, except that a Signature
   instruction's T bit is excluded.
+
+The hardware extractor does not walk the positions per fetch: each
+word's payload bits are read once into the per-word memo of
+:func:`repro.argus.shs.word_facts`, which :meth:`PayloadCollector.add`
+appends from.
 """
 
+from repro.argus.shs import word_facts
 from repro.isa.encoding import spare_bit_positions
 from repro.isa.opcodes import Op
 
@@ -149,12 +155,9 @@ class PayloadCollector:
     def reset(self):
         self._bits = []
 
-    def add(self, instr, word=None):
+    def add(self, instr):
         """Collect the payload bits of one fetched instruction."""
-        w = instr.word if word is None else word
-        bits = self._bits
-        for pos in payload_positions(instr.op):
-            bits.append((w >> pos) & 1)
+        self._bits.extend(word_facts(instr).payload)
 
     def capacity(self):
         """Bits collected so far for the current block."""

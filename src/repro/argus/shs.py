@@ -15,10 +15,20 @@ dataflow and is computable at compile time.  The same
 (:class:`repro.cpu.checkedcore.CheckedCore`) and the static embedder
 (:mod:`repro.toolchain.embed`), which *is* the correctness condition the
 control-flow/dataflow checker enforces.
+
+The datapath is table-driven.  Every SHS hash chains CRC5 steps over
+5-bit symbols, tabulated once from :func:`~repro.argus.crc.crc5_bits`.
+Everything the checker derives from one instruction word - its canonical
+word, operation id, payload bits and SHS transfer plan - is computed once
+per word in one bounded memo (:func:`word_facts`), so the per-instruction
+work is a few lookups.  A reset copies the initial-value template.
 """
+
+from typing import NamedTuple, Optional
 
 from repro.argus.crc import crc5_bits, crc5_word
 from repro.isa import registers
+from repro.isa.decode import _DECODE_CACHE_LIMIT
 from repro.isa.encoding import spare_bit_positions
 from repro.isa.opcodes import Op
 
@@ -44,21 +54,111 @@ def initial_shs(location):
     return _EXTRA_INITIALS[location]
 
 
-def canonical_word(instr):
-    """Instruction word with all spare bits cleared.
+#: Reset image of the SHS file: location ``i`` holds ``initial_shs(i)``.
+_INITIAL_VALUES = tuple(initial_shs(i) for i in range(NUM_LOCATIONS))
 
-    Operation identifiers must hash the *architectural* content of the
-    instruction only: the embedder computes static DCSs before the spare
-    bits receive their payload, and the hardware must derive the same id
-    after they have.
+#: ``_STEP[state][symbol]`` is ``crc5_bits(symbol, SHS_BITS, state)``: one
+#: CRC5 step over a 5-bit symbol.  Every SHS hash is a chain of them.
+_STEP = tuple(
+    tuple(crc5_bits(symbol, SHS_BITS, state) for symbol in range(1 << SHS_BITS))
+    for state in range(1 << SHS_BITS)
+)
+
+
+def shs_combine(op_id, *input_shs):
+    """New output SHS from the operation id and the input SHSs (CRC5)."""
+    state = _STEP[0][op_id & SHS_MASK]
+    for shs in input_shs:
+        state = _STEP[state][shs & SHS_MASK]
+    return state
+
+
+class WordFacts(NamedTuple):
+    """What the checker datapath derives from one instruction word.
+
+    * ``canonical`` - the word with all spare bits cleared.  Operation
+      identifiers hash the *architectural* content of the instruction
+      only: the embedder computes static DCSs before the spare bits
+      receive their payload, and the hardware must derive the same id
+      after they have.
+    * ``op_id`` - the 5-bit operation id, CRC5 of the canonical word.
+    * ``payload`` - the word's payload bits in packing order
+      (:func:`repro.argus.payload.payload_positions`).
+    * ``plan`` - the SHS transfer ``(start, sources, dest, link)`` that
+      :func:`apply_instruction` executes, or None for nop/sig/halt.  The
+      output SHS is the CRC chain from ``start`` (the state after
+      ``op_id``) over the SHSs of the ``sources`` locations, written to
+      ``dest``; ``link`` is what calls write to the link register.
     """
+
+    canonical: int
+    op_id: int
+    payload: tuple
+    plan: Optional[tuple]
+
+
+def _transfer_plan(instr, op_id):
+    """The SHS transfer of ``instr`` as :attr:`WordFacts.plan`.
+
+    The output hashes the histories of the registers the instruction
+    reads - so a load's value history starts fresh at the load (memory
+    dataflow is not SHS-tracked; see paper footnote 1) - except that a
+    conditional branch hashes the flag's.  It goes to ``rd``, or to
+    SHS_mem, SHS_flag or SHS_pc for stores, compares and branches.
+    """
+    op = instr.op
+    if op is Op.NOP or op is Op.SIG or op is Op.HALT:
+        return None
+    if instr.is_cond_branch:
+        sources = (LOC_FLAG,)
+    else:
+        sources = (instr.ra,) * instr.reads_ra + (instr.rb,) * instr.reads_rb
+    if instr.is_store:
+        dest = LOC_MEM
+    elif instr.is_compare:
+        dest = LOC_FLAG
+    elif instr.is_branch:
+        dest = LOC_PC
+    else:
+        dest = instr.rd
+    start = _STEP[0][op_id]
+    link = _STEP[start][0x01] if instr.is_call else None
+    return (start, sources, dest, link)
+
+
+def _derive_facts(instr):
+    # payload imports this module for its collector, so import lazily.
+    from repro.argus.payload import payload_positions
+
     word = instr.word
-    for pos in spare_bit_positions(instr.op):
-        word &= ~(1 << pos)
-    return word & 0xFFFFFFFF
+    spare = sum(1 << pos for pos in spare_bit_positions(instr.op))
+    canonical = word & ~spare & 0xFFFFFFFF
+    op_id = crc5_word(canonical)
+    payload = tuple((word >> pos) & 1 for pos in payload_positions(instr.op))
+    return WordFacts(canonical, op_id, payload, _transfer_plan(instr, op_id))
 
 
-_OP_ID_CACHE = {}
+# One process-wide memo over the 32-bit word, bounded like the decode memo
+# (repro.isa.decode) and for the same reason: faulted lanes feed it
+# corrupted words, and a service process lives long.  Keyed by the word
+# alone because every Instr is decoded from its ``word``.
+_FACTS = {}
+_FACTS_LIMIT = _DECODE_CACHE_LIMIT
+
+
+def word_facts(instr):
+    """The memoized :class:`WordFacts` of a decoded instruction."""
+    facts = _FACTS.get(instr.word)
+    if facts is None:
+        if len(_FACTS) >= _FACTS_LIMIT:
+            _FACTS.clear()
+        facts = _FACTS[instr.word] = _derive_facts(instr)
+    return facts
+
+
+def canonical_word(instr):
+    """Instruction word with all spare bits cleared (see :class:`WordFacts`)."""
+    return word_facts(instr).canonical
 
 
 def op_identifier(instr):
@@ -69,28 +169,7 @@ def op_identifier(instr):
     specification, so a decode fault that corrupts an immediate perturbs
     the id and therefore the block DCS.
     """
-    word = canonical_word(instr)
-    ident = _OP_ID_CACHE.get(word)
-    if ident is None:
-        ident = crc5_word(word)
-        _OP_ID_CACHE[word] = ident
-    return ident
-
-
-_COMBINE_CACHE = {}
-
-
-def shs_combine(op_id, *input_shs):
-    """New output SHS from the operation id and the input SHSs (CRC5)."""
-    key = (op_id,) + input_shs
-    result = _COMBINE_CACHE.get(key)
-    if result is None:
-        state = crc5_bits(op_id & SHS_MASK, SHS_BITS)
-        for shs in input_shs:
-            state = crc5_bits(shs & SHS_MASK, SHS_BITS, state)
-        result = state
-        _COMBINE_CACHE[key] = result
-    return result
+    return word_facts(instr).op_id
 
 
 class ShsFile:
@@ -98,21 +177,19 @@ class ShsFile:
 
     In Argus-1 hardware the 32 register SHSs form one wide 160-bit
     register that can be read/reset in parallel; here that simply means a
-    list.  ``corrupt`` supports fault injection into the checker state
-    itself (such faults must never cause silent corruption - at worst a
-    detected masked error).
+    list, whose entries always hold 5-bit values.  ``corrupt`` supports
+    fault injection into the checker state itself (such faults must never
+    cause silent corruption - at worst a detected masked error).
     """
 
     __slots__ = ("values",)
 
     def __init__(self):
-        self.values = [initial_shs(i) for i in range(NUM_LOCATIONS)]
+        self.values = list(_INITIAL_VALUES)
 
     def reset(self):
         """Block-boundary reset to the location-specific initial values."""
-        values = self.values
-        for i in range(NUM_LOCATIONS):
-            values[i] = initial_shs(i)
+        self.values[:] = _INITIAL_VALUES
 
     def read(self, location):
         return self.values[location]
@@ -151,76 +228,26 @@ def apply_instruction(shs_file, instr, shs_overrides=None, dest_override=None):
     Returns the output SHS written (or None for instructions with no SHS
     output, i.e. nop/sig/halt).
     """
-    op = instr.op
-    if op is Op.NOP or op is Op.SIG or op is Op.HALT:
+    plan = word_facts(instr).plan
+    if plan is None:
         return None
-
-    def in_shs(reg):
-        if shs_overrides is not None and reg in shs_overrides:
-            return shs_overrides[reg]
-        return shs_file.read(reg)
-
-    def dest(reg):
-        return reg if dest_override is None else dest_override
-
-    op_id = op_identifier(instr)
-
-    if instr.is_load:
-        # The loaded value's history starts fresh at the load (memory
-        # dataflow is not SHS-tracked; see paper footnote 1); the address
-        # register's history is an input.
-        out = shs_combine(op_id, in_shs(instr.ra))
-        shs_file.write(dest(instr.rd), out)
-        return out
-    if instr.is_store:
+    state, sources, dest, link = plan
+    values = shs_file.values
+    step = _STEP
+    for src in sources:
+        if shs_overrides is not None and src in shs_overrides:
+            state = step[state][shs_overrides[src] & SHS_MASK]
+        else:
+            state = step[state][values[src]]
+    if dest == LOC_MEM:
         # SHS_mem accumulates a hash of every store's output SHS so that
         # operand delivery to the memory system is covered.
-        store_out = shs_combine(op_id, in_shs(instr.ra), in_shs(instr.rb))
-        merged = shs_combine(store_out, shs_file.read(LOC_MEM))
-        shs_file.write(LOC_MEM, merged)
-        return merged
-    if op is Op.SF:
-        out = shs_combine(op_id, in_shs(instr.ra), in_shs(instr.rb))
-        shs_file.write(LOC_FLAG, out)
-        return out
-    if op is Op.SFI:
-        out = shs_combine(op_id, in_shs(instr.ra))
-        shs_file.write(LOC_FLAG, out)
-        return out
-    if op is Op.BF or op is Op.BNF:
-        out = shs_combine(op_id, shs_file.read(LOC_FLAG))
-        shs_file.write(LOC_PC, out)
-        return out
-    if op is Op.J:
-        out = shs_combine(op_id)
-        shs_file.write(LOC_PC, out)
-        return out
-    if op is Op.JAL:
-        out = shs_combine(op_id)
-        shs_file.write(LOC_PC, out)
-        shs_file.write(registers.LINK_REG, shs_combine(op_id, 0x01))
-        return out
-    if op is Op.JR:
-        out = shs_combine(op_id, in_shs(instr.rb))
-        shs_file.write(LOC_PC, out)
-        return out
-    if op is Op.JALR:
-        out = shs_combine(op_id, in_shs(instr.rb))
-        shs_file.write(LOC_PC, out)
-        shs_file.write(registers.LINK_REG, shs_combine(op_id, 0x01))
-        return out
-    if op is Op.MOVHI:
-        out = shs_combine(op_id)
-        shs_file.write(dest(instr.rd), out)
-        return out
-    if op in (Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLLI, Op.SRLI, Op.SRAI):
-        out = shs_combine(op_id, in_shs(instr.ra))
-        shs_file.write(dest(instr.rd), out)
-        return out
-    # Register-register ALU, muldiv and extensions.
-    if instr.reads_rb:
-        out = shs_combine(op_id, in_shs(instr.ra), in_shs(instr.rb))
-    else:
-        out = shs_combine(op_id, in_shs(instr.ra))
-    shs_file.write(dest(instr.rd), out)
-    return out
+        state = step[step[0][state]][values[LOC_MEM]]
+    elif dest_override is not None and dest < NUM_REG_LOCATIONS:
+        dest = dest_override
+    # r0 is hard-wired (see ShsFile.write).
+    if dest:
+        values[dest] = state
+    if link is not None:
+        values[registers.LINK_REG] = link
+    return state

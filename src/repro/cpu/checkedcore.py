@@ -256,11 +256,12 @@ class CheckedCore:
         self.instret += 1
 
         if chk is not None:
-            self.collector.add(chk, word_chk)
+            self.collector.add(chk)
 
         # Fig. 3 cross-check: FU and sub-checker receive independently
         # routed instruction copies; disagreement is itself a detection.
-        if self._chk_comp:
+        # Copies that decoded to the same object agree by construction.
+        if self._chk_comp and fu is not chk:
             cw_fu = canonical_word(fu) if fu is not None else None
             cw_chk = canonical_word(chk) if chk is not None else None
             if cw_fu != cw_chk:

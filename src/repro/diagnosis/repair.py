@@ -193,7 +193,7 @@ def strict_verify(program, entry_dcs=None, text_crc=None):
         addr = block.start
         while addr < block.end:
             word = program.word_at(addr)
-            collector.add(decode(word), word)
+            collector.add(decode(word))
             addr += 4
         try:
             extracted = collector.extract(kind)

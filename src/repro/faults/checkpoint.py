@@ -49,7 +49,7 @@ DEFAULT_INTERVAL = 64
 DEFAULT_MAX_CHECKPOINTS = 128
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CoreSnapshot:
     """Complete restorable CheckedCore state at one retire boundary.
 
@@ -57,6 +57,13 @@ class CoreSnapshot:
     the state *before* executing instruction ``step`` (so it equals the
     captured ``instret``).
     """
+
+    # Explicit slots: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = (
+        "step", "pc", "flag", "cfc_flag", "cycles", "instret", "block_index",
+        "halted", "hung", "in_delay", "delayed_target", "pending_term", "rf",
+        "shs", "cfc", "collector", "watchdog", "dmem", "mem",
+    )
 
     step: int
     # -- scalar core state ------------------------------------------------
@@ -80,6 +87,14 @@ class CoreSnapshot:
     # -- memory -----------------------------------------------------------
     dmem: tuple  # CheckedMemory.snapshot(): (stored, parity) dict copies
     mem: tuple  # MemorySystem.snapshot(): cache tag/LRU/dirty/stats
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        # Frozen: unpickling cannot go through the dataclass __setattr__.
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     def masking_view(self):
         """The replay-relevant projection for a checkers-off core.

@@ -198,7 +198,7 @@ def verify_embedding(program, base_words=None, terminator_sigs=None,
         addr = block.start
         while addr < block.end:
             word = program.word_at(addr)
-            collector.add(decode(word), word)
+            collector.add(decode(word))
             addr += 4
         try:
             extracted = collector.extract(block.kind)

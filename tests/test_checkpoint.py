@@ -16,6 +16,8 @@ Two layers of guarantees:
   pure acceleration.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +230,17 @@ class TestCheckpointStore:
         a = restore(CheckedCore(embedded, detect=True), snap)
         b = CheckedCore(embedded, detect=True).restore(snap)
         assert _full_state(a) == _full_state(b)
+
+    def test_snapshot_pickles_and_has_no_dict(self):
+        # Slotted and frozen: unpickling must bypass the frozen setattr.
+        core = CheckedCore(_embedded("stress"), detect=True)
+        _run_steps(core, 77)
+        snap = capture(core)
+        assert not hasattr(snap, "__dict__")
+        again = pickle.loads(pickle.dumps(snap))
+        assert again == snap
+        assert _full_state(restore(CheckedCore(_embedded("stress")), again)) \
+            == _full_state(core)
 
     def test_rejects_bad_parameters(self):
         # 0/None mean "use the default"; negatives are rejected.

@@ -116,7 +116,7 @@ class TestEmbedExtract:
         packed = embed_bits(words, ops, fields_to_bits(values))
         collector = PayloadCollector()
         for word, op in zip(packed, ops):
-            collector.add(decode(word), word)
+            collector.add(decode(word))
         fields = collector.extract("cond")
         assert fields == {"taken": 0x15, "fallthrough": 0x0A}
 
@@ -133,7 +133,7 @@ class TestEmbedExtract:
 
     def test_collector_reset(self):
         collector = PayloadCollector()
-        collector.add(decode(sig_word(False)), sig_word(False))
+        collector.add(decode(sig_word(False)))
         assert collector.capacity() == 25
         collector.reset()
         assert collector.capacity() == 0
@@ -159,7 +159,7 @@ def test_embed_extract_property(values):
     packed = embed_bits(words, ops, fields_to_bits(values))
     collector = PayloadCollector()
     for word, op in zip(packed, ops):
-        collector.add(decode(word), word)
+        collector.add(decode(word))
     kind = {1: "jump", 2: "cond"}[len(values)]
     fields = collector.extract(kind)
     assert list(fields.values()) == values

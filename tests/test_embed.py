@@ -104,7 +104,7 @@ class TestSuccessorFields:
             addr = block.start
             while addr < block.end:
                 word = embedded.program.word_at(addr)
-                collector.add(decode(word), word)
+                collector.add(decode(word))
                 addr += 4
             assert collector.extract(block.kind) == block.fields
 
