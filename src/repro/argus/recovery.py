@@ -16,6 +16,9 @@ detected."  This module supplies that companion mechanism:
   (the actionable signal the paper wants from detected permanent
   errors).
 
+Protected memory is checkpointed as one
+:meth:`~repro.mem.checked.CheckedMemory.snapshot`, whose pages the core
+shares copy-on-write until it writes them, so a checkpoint costs O(pages).
 Cache *timing* state is deliberately not checkpointed - it affects only
 cycle counts, never correctness, exactly like a real machine whose cache
 contents survive a recovery with at most different hit/miss behaviour.
@@ -37,8 +40,7 @@ class Checkpoint:
     parity: list
     shs: list
     cfc_expected: object
-    dmem_stored: dict
-    dmem_parity: dict
+    dmem: tuple  # CheckedMemory.snapshot()
     in_delay: bool
     delayed_target: int
     pending_term: object
@@ -57,8 +59,7 @@ class Checkpoint:
             parity=list(core.rf.parity),
             shs=list(core.shs.values),
             cfc_expected=core.cfc.expected,
-            dmem_stored=dict(core.dmem._stored),
-            dmem_parity=dict(core.dmem._parity),
+            dmem=core.dmem.snapshot(),
             in_delay=core._in_delay,
             delayed_target=core._delayed_target,
             pending_term=core._pending_term,
@@ -76,8 +77,7 @@ class Checkpoint:
         core.rf.parity[:] = self.parity
         core.shs.values[:] = self.shs
         core.cfc.expected = self.cfc_expected
-        core.dmem._stored = dict(self.dmem_stored)
-        core.dmem._parity = dict(self.dmem_parity)
+        core.dmem.restore(self.dmem)
         core._in_delay = self.in_delay
         core._delayed_target = self.delayed_target
         core._pending_term = self.pending_term

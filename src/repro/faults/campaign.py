@@ -189,7 +189,7 @@ class Campaign:
 
     ``use_checkpoints`` (default on) selects the fast path: the golden
     run snapshots the core every ``checkpoint_interval`` instructions
-    (at most ``max_checkpoints`` kept, see :mod:`repro.faults.checkpoint`)
+    (thinned past the store's bound, see :mod:`repro.faults.checkpoint`)
     and the batched engine, built lazily by the first batch, classifies
     experiments against it.  ``use_checkpoints=False`` (CLI
     ``--no-checkpoints``) is the reference path: every experiment's
@@ -202,8 +202,7 @@ class Campaign:
 
     def __init__(self, embedded=None, seed=0, run_slack=1.25,
                  include_double_bits=True, use_checkpoints=True,
-                 checkpoint_interval=None, max_checkpoints=None,
-                 batched=None):
+                 checkpoint_interval=None, batched=None):
         self.embedded = embedded if embedded is not None else build_stress_program()
         self.seed = seed
         self.rng = random.Random(seed)
@@ -211,7 +210,6 @@ class Campaign:
         self.run_slack = run_slack
         self.use_checkpoints = use_checkpoints
         self.checkpoint_interval = checkpoint_interval
-        self.max_checkpoints = max_checkpoints
         # Wall-clock/throughput accounting, exposed through telemetry and
         # ``campaign --json``; the engine's counters are folded in as the
         # batches run (pool workers ship per-batch deltas of this dict).
@@ -249,8 +247,7 @@ class Campaign:
         if self._golden is None:
             if self.use_checkpoints:
                 core = CheckedCore(self.embedded, detect=True)
-                store = CheckpointStore(interval=self.checkpoint_interval,
-                                        max_checkpoints=self.max_checkpoints)
+                store = CheckpointStore(interval=self.checkpoint_interval)
                 trace = []
                 try:
                     record_checkpoints(core, store=store, trace=trace)

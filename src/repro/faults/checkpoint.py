@@ -8,11 +8,15 @@ periodic dynamic-instruction boundaries of the golden run so both runs
 can *warm-start* from the nearest checkpoint at or before the injection
 point and replay only the tail.
 
-A :class:`CoreSnapshot` is compact and deep-copy-free: every mutable
-container is captured as a flat ``tuple`` (or a shallow ``dict`` copy
-for the sparse protected-memory maps), never via ``copy.deepcopy``.
-Restoring writes the captured state back through the per-component
-``restore`` hooks (:class:`~repro.argus.regfile.CheckedRegisterFile`,
+A :class:`CoreSnapshot` is compact and deep-copy-free: every register
+and checker container is captured as a flat ``tuple``, never via
+``copy.deepcopy``, and protected memory and the caches as copies of
+their page tables.  Their pages are shared copy-on-write between the
+live core and every snapshot holding them (see :mod:`repro.mem.checked`
+and :mod:`repro.mem.cache`), so a capture or restore costs O(pages),
+and consecutive checkpoints share every page the run did not write in
+between.  Restoring writes the captured state back through the
+per-component ``restore`` hooks (:class:`~repro.argus.regfile.CheckedRegisterFile`,
 :class:`~repro.argus.shs.ShsFile`,
 :class:`~repro.argus.controlflow.ControlFlowChecker`,
 :class:`~repro.argus.payload.PayloadCollector`,
@@ -36,17 +40,24 @@ state) and the masking run (which ignores it).
 :class:`CheckpointStore` keeps the set memory-bounded: when the count
 exceeds ``max_checkpoints`` it drops every other snapshot and doubles
 the capture interval, so arbitrarily long golden runs keep at most
-``2 * max_checkpoints`` snapshots alive.
+``max_checkpoints`` snapshots alive.  The default bound keeps the
+default interval of 64 instructions on runs up to
+``DEFAULT_INTERVAL * DEFAULT_MAX_CHECKPOINTS`` instructions, so a
+warm start replays at most 63 instructions before its target there.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.mem.checked import CheckedMemory
+from repro.mem.hierarchy import MemorySystem
 
 #: Default dynamic-instruction distance between golden-run checkpoints.
 DEFAULT_INTERVAL = 64
 
 #: Default bound on live checkpoints before exponential thinning.
-DEFAULT_MAX_CHECKPOINTS = 128
+DEFAULT_MAX_CHECKPOINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,8 @@ class CoreSnapshot:
     collector: tuple  # PayloadCollector.snapshot()
     watchdog: tuple  # Watchdog.snapshot()
     # -- memory -----------------------------------------------------------
-    dmem: tuple  # CheckedMemory.snapshot(): (stored, parity) dict copies
-    mem: tuple  # MemorySystem.snapshot(): cache tag/LRU/dirty/stats
+    dmem: tuple  # CheckedMemory.snapshot(): (stored, parity) page tables
+    mem: tuple  # MemorySystem.snapshot(): cache set pages + stats
 
     def __getstate__(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -108,8 +119,12 @@ class CoreSnapshot:
         cache timing) is deliberately excluded: a detect-off run never
         reads it, which is also why a cold masking run and a golden
         warm-started one can be compared through this projection.
+
+        Memory enters as its sorted ``(page, stored words)`` pairs,
+        which are equal exactly when the written words and their
+        functional values are; pages shared between the two sides
+        compare by identity, so the view costs O(pages).
         """
-        stored = self.dmem[0]
         return (
             self.pc,
             self.flag,
@@ -119,9 +134,19 @@ class CoreSnapshot:
             self.delayed_target,
             self.pending_term[0] if self.pending_term is not None else None,
             self.collector,
-            tuple(sorted((addr, (word ^ addr) & 0xFFFFFFFF)
-                         for addr, word in stored.items())),
+            CheckedMemory.snapshot_stored_pages(self.dmem),
         )
+
+    def flat(self):
+        """Every field in declaration order, with ``dmem`` and ``mem`` in
+        their per-word and per-set forms
+        (:meth:`CheckedMemory.flat_snapshot`,
+        :meth:`MemorySystem.flat_snapshot`).  Two snapshots' flat forms
+        are equal exactly when the captured states are, whatever pages
+        they do or do not share."""
+        head = tuple(getattr(self, name) for name in self.__slots__[:-2])
+        return head + (CheckedMemory.flat_snapshot(self.dmem),
+                       MemorySystem.flat_snapshot(self.mem))
 
 
 def masking_view_of(core):
@@ -137,8 +162,7 @@ def masking_view_of(core):
         core._delayed_target,
         core._pending_term[0] if core._pending_term is not None else None,
         core.collector.snapshot(),
-        tuple(sorted((addr, (word ^ addr) & 0xFFFFFFFF)
-                     for addr, word in core.dmem._stored.items())),
+        core.dmem.stored_pages(),
     )
 
 
@@ -210,7 +234,6 @@ class CheckpointStore:
             raise ValueError("max_checkpoints must be positive")
         self._by_step = {}
         self._steps = []  # ascending capture steps
-        self._masking_views = {}
 
     def __len__(self):
         return len(self._by_step)
@@ -239,32 +262,22 @@ class CheckpointStore:
         dropped = set(self._steps) - set(kept)
         for step in dropped:
             self._by_step.pop(step, None)
-            self._masking_views.pop(step, None)
         self._steps = kept
 
     def nearest(self, step):
         """The latest checkpoint at or before ``step`` (None if colder)."""
-        best = None
-        for candidate in self._steps:
-            if candidate > step:
-                break
-            best = candidate
-        return None if best is None else self._by_step[best]
+        index = bisect_right(self._steps, step)
+        return self._by_step[self._steps[index - 1]] if index else None
 
     def at(self, step):
         """The checkpoint captured exactly at ``step``, or None."""
         return self._by_step.get(step)
 
     def masking_view_at(self, step):
-        """Cached :meth:`CoreSnapshot.masking_view` of the ``step`` one."""
-        view = self._masking_views.get(step)
-        if view is None:
-            snapshot = self._by_step.get(step)
-            if snapshot is None:
-                return None
-            view = snapshot.masking_view()
-            self._masking_views[step] = view
-        return view
+        """:meth:`CoreSnapshot.masking_view` of the ``step`` checkpoint,
+        or None.  Not cached: the view costs O(pages)."""
+        snapshot = self._by_step.get(step)
+        return None if snapshot is None else snapshot.masking_view()
 
 
 def record_checkpoints(core, store=None, interval=None, max_checkpoints=None,

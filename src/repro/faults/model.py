@@ -89,10 +89,10 @@ class StateFaultApplier:
             return core.cfc.expected if core.cfc.expected is not None else 0
         if spec.target == "state.mem.word":
             addr = self._resolve_mem_addr(core)
-            return core.dmem._stored.get(addr, 0) if addr >= 0 else 0
+            return core.dmem.stored_word(addr) if addr >= 0 else 0
         if spec.target == "state.mem.parity":
             addr = self._resolve_mem_addr(core)
-            return core.dmem._parity.get(addr, 0) if addr >= 0 else 0
+            return core.dmem.parity_bit(addr) if addr >= 0 else 0
         raise ValueError("unknown state target %r" % spec.target)
 
     def _write(self, core, value):
@@ -115,11 +115,11 @@ class StateFaultApplier:
         elif spec.target == "state.mem.word":
             addr = self._resolve_mem_addr(core)
             if addr >= 0:
-                core.dmem._stored[addr] = value & 0xFFFFFFFF
+                core.dmem.set_stored_word(addr, value & 0xFFFFFFFF)
         elif spec.target == "state.mem.parity":
             addr = self._resolve_mem_addr(core)
             if addr >= 0:
-                core.dmem._parity[addr] = value & 1
+                core.dmem.set_parity_bit(addr, value)
         else:
             raise ValueError("unknown state target %r" % spec.target)
 

@@ -62,6 +62,14 @@ class Instr:
     reads_ra: bool
     reads_rb: bool
 
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        # Frozen: unpickling cannot go through the dataclass __setattr__.
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
     @property
     def mnemonic(self):
         """Assembler mnemonic (condition-specialized for compares)."""

@@ -18,6 +18,10 @@ package provides:
   every word is stored XORed with its address and carries a parity bit
   (paper Sec. 3.4), so wrong-word accesses and data corruption are
   detectable on load.
+
+The protected words and the cache sets are paged and shared
+copy-on-write with snapshots, so checkpointing a core copies page
+tables, not memory.
 """
 
 from repro.mem.main import MainMemory

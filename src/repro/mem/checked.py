@@ -14,9 +14,27 @@ Sub-word stores use read-modify-write, as footnote 2 of the paper notes
 is standard for per-word EDC systems.  Words never written are defined as
 zero with correct parity (the "initial state is EDC-protected" assumption
 of Appendix A's base case).
+
+Storage is paged so that snapshots are cheap: the protected words live in
+pages of :data:`PAGE_WORDS` words (page number = byte address >>
+:data:`PAGE_SHIFT`), and a snapshot copies only the page tables.  A page
+is shared copy-on-write between the live memory and every snapshot that
+holds it: the memory writes in place only the pages it copied since its
+last :meth:`~CheckedMemory.snapshot` or :meth:`~CheckedMemory.restore`,
+and the first write to any other page copies that one page.  Capture and
+restore therefore cost O(pages), and a snapshot's pages never change.
 """
 
 from repro.isa import registers
+
+#: Byte-address bits below the page number: 64 words (256 bytes) a page.
+PAGE_SHIFT = 8
+
+#: Words per protected-memory page.
+PAGE_WORDS = 1 << (PAGE_SHIFT - 2)
+
+_SLOT_MASK = PAGE_WORDS - 1
+_WORD_ADDR = registers.ADDR_MASK & ~3
 
 
 def parity32(value):
@@ -42,19 +60,56 @@ class MemoryCheckEvent:
 class CheckedMemory:
     """Word-granularity D XOR A + parity protected memory.
 
-    Wraps a raw word store (dict); exposes functional reads/writes that
-    return/accept plain values while keeping protected words internally.
-    ``corrupt_stored_bit`` and ``corrupt_parity`` let the fault-injection
-    framework attack the storage itself.
+    Exposes functional reads/writes that return/accept plain values while
+    keeping protected words internally.  ``corrupt_stored_bit`` and
+    ``corrupt_parity`` let the fault-injection framework attack the
+    storage itself; ``stored_word``/``parity_bit`` and their setters give
+    it raw access to one word's cells.
+
+    Two parallel page tables map a page number to a list of
+    :data:`PAGE_WORDS` stored ``D XOR A`` words and to a list of their
+    parity bits; a slot never written holds ``None`` in both.  A page
+    exists only once one of its words was written.
     """
 
     def __init__(self):
-        self._stored = {}  # word address -> D XOR A
-        self._parity = {}  # word address -> parity bit of D
+        self._stored = {}  # page -> [D XOR A or None] * PAGE_WORDS
+        self._parity = {}  # page -> [parity bit of D or None] * PAGE_WORDS
+        self._owned = set()  # pages no snapshot shares: writable in place
 
-    @staticmethod
-    def _word_addr(address):
-        return address & registers.ADDR_MASK & ~3
+    # -- page access ---------------------------------------------------------
+    def _cell(self, addr):
+        """``(stored word, parity bit)`` at word address ``addr``; an
+        unwritten word reads as the encoding of zero with parity 0."""
+        page = addr >> PAGE_SHIFT
+        stored = self._stored.get(page)
+        if stored is not None:
+            slot = (addr >> 2) & _SLOT_MASK
+            word = stored[slot]
+            if word is not None:
+                return word, self._parity[page][slot]
+        return addr, 0
+
+    def _put(self, addr, word, parity):
+        """Write one word's cells, copying its page first if shared."""
+        page = addr >> PAGE_SHIFT
+        if page in self._owned:
+            stored = self._stored[page]
+            parities = self._parity[page]
+        else:
+            stored = self._stored.get(page)
+            if stored is None:
+                stored = [None] * PAGE_WORDS
+                parities = [None] * PAGE_WORDS
+            else:
+                stored = list(stored)
+                parities = list(self._parity[page])
+            self._stored[page] = stored
+            self._parity[page] = parities
+            self._owned.add(page)
+        slot = (addr >> 2) & _SLOT_MASK
+        stored[slot] = word
+        parities[slot] = parity
 
     # -- protected word operations --------------------------------------
     def store_word(self, address, value, parity=None):
@@ -65,10 +120,10 @@ class CheckedMemory:
         source parity is what lets a store-data-bus fault (value corrupted
         after parity generation) be caught by the load-side check.
         """
-        addr = self._word_addr(address)
+        addr = address & _WORD_ADDR
         value &= 0xFFFFFFFF
-        self._stored[addr] = value ^ addr
-        self._parity[addr] = parity32(value) if parity is None else (parity & 1)
+        self._put(addr, value ^ addr,
+                  parity32(value) if parity is None else (parity & 1))
 
     def load_word(self, address):
         """Load and check the word at ``address``.
@@ -76,12 +131,10 @@ class CheckedMemory:
         Returns a :class:`MemoryCheckEvent`; ``ok`` is False when the
         recovered value's parity disagrees with the stored parity bit.
         """
-        addr = self._word_addr(address)
-        if addr not in self._stored:
-            return MemoryCheckEvent(0, True)
-        recovered = (self._stored[addr] ^ addr) & 0xFFFFFFFF
-        ok = parity32(recovered) == self._parity[addr]
-        return MemoryCheckEvent(recovered, ok)
+        addr = address & _WORD_ADDR
+        stored, parity = self._cell(addr)
+        recovered = (stored ^ addr) & 0xFFFFFFFF
+        return MemoryCheckEvent(recovered, parity32(recovered) == parity)
 
     def store_word_at_physical(self, requested, actual, value, parity=None):
         """Model a wrong-word store: data scrambled with the *intended*
@@ -93,11 +146,9 @@ class CheckedMemory:
         see - this is exactly the "silently not performed access" class
         the paper concedes in Sec. 3.4.
         """
-        req = self._word_addr(requested)
-        act = self._word_addr(actual)
         value &= 0xFFFFFFFF
-        self._stored[act] = value ^ req
-        self._parity[act] = parity32(value) if parity is None else (parity & 1)
+        self._put(actual & _WORD_ADDR, value ^ (requested & _WORD_ADDR),
+                  parity32(value) if parity is None else (parity & 1))
 
     def load_word_at_physical(self, requested, actual):
         """Model a wrong-word access: the core asked for ``requested`` but
@@ -108,50 +159,111 @@ class CheckedMemory:
         recovered value and (for odd-weight address differences) trips
         parity, exactly as Sec. 3.4 describes.
         """
-        req = self._word_addr(requested)
-        act = self._word_addr(actual)
-        stored = self._stored.get(act, 0 ^ act)
-        parity = self._parity.get(act, 0)
-        recovered = (stored ^ req) & 0xFFFFFFFF
-        ok = parity32(recovered) == parity
-        return MemoryCheckEvent(recovered, ok)
+        stored, parity = self._cell(actual & _WORD_ADDR)
+        recovered = (stored ^ (requested & _WORD_ADDR)) & 0xFFFFFFFF
+        return MemoryCheckEvent(recovered, parity32(recovered) == parity)
 
     # -- functional (unchecked) helpers -----------------------------------
     def peek_word(self, address):
         """Functional value without checking (golden-state comparison)."""
-        addr = self._word_addr(address)
-        if addr not in self._stored:
-            return 0
-        return (self._stored[addr] ^ addr) & 0xFFFFFFFF
+        addr = address & _WORD_ADDR
+        return (self._cell(addr)[0] ^ addr) & 0xFFFFFFFF
 
     def functional_snapshot(self):
-        """Mapping of word address -> functional value for all written words."""
-        return {addr: (stored ^ addr) & 0xFFFFFFFF for addr, stored in self._stored.items()}
+        """Mapping of word address -> functional value for all written
+        words, in ascending address order."""
+        return {addr: (word ^ addr) & 0xFFFFFFFF
+                for addr, word in _words(self._stored)}
+
+    def written_words(self):
+        """Sorted word addresses that have been stored to."""
+        return [addr for addr, __ in _words(self._stored)]
+
+    def stored_pages(self):
+        """Sorted ``(page, stored words)`` pairs, read in place.
+
+        Two memories' tuples are equal exactly when their written word
+        sets and functional values are (a stored word determines its
+        functional value at a fixed address), and pages still shared
+        with a common snapshot compare by identity.  The lists are live:
+        compare the result at once rather than keeping it.
+        """
+        return tuple(sorted(self._stored.items()))
 
     # -- checkpointing -----------------------------------------------------
     def snapshot(self):
-        """Shallow (stored, parity) dict copies - the protected words with
-        their parity bits, exactly as resident (no re-encoding)."""
+        """``(stored pages, parity pages)``: copies of the two page tables.
+
+        The pages themselves - the protected words and their parity
+        bits, exactly as resident (no re-encoding) - become shared with
+        the snapshot, so this memory copies each one before its next
+        write to it.  Costs O(pages).
+        """
+        self._owned.clear()
         return (dict(self._stored), dict(self._parity))
 
     def restore(self, snapshot):
+        """Install a :meth:`snapshot`'s page tables (O(pages)); its pages
+        stay shared until written."""
         stored, parity = snapshot
         self._stored = dict(stored)
         self._parity = dict(parity)
+        self._owned.clear()
+
+    @staticmethod
+    def snapshot_stored_pages(snapshot):
+        """:meth:`stored_pages` of a :meth:`snapshot`."""
+        return tuple(sorted(snapshot[0].items()))
+
+    @staticmethod
+    def flat_snapshot(snapshot):
+        """A :meth:`snapshot` as ``(stored, parity)`` dicts keyed by word
+        address, one entry per written word: the per-word form, for
+        oracles that compare state independently of the page layout."""
+        stored_pages, parity_pages = snapshot
+        stored = {}
+        parity = {}
+        for addr, word in _words(stored_pages):
+            stored[addr] = word
+            parity[addr] = parity_pages[addr >> PAGE_SHIFT][(addr >> 2) & _SLOT_MASK]
+        return stored, parity
 
     # -- fault hooks -------------------------------------------------------
     def corrupt_stored_bit(self, address, bit):
         """Flip one bit of the protected storage word (data-array fault)."""
-        addr = self._word_addr(address)
-        self._stored[addr] = self._stored.get(addr, 0 ^ addr) ^ (1 << bit)
-        self._parity.setdefault(addr, 0)
+        self.set_stored_word(address, self.stored_word(address) ^ (1 << bit))
 
     def corrupt_parity(self, address):
         """Flip the stored parity bit of a word."""
-        addr = self._word_addr(address)
-        self._parity[addr] = self._parity.get(addr, 0) ^ 1
-        self._stored.setdefault(addr, 0 ^ addr)
+        self.set_parity_bit(address, self.parity_bit(address) ^ 1)
 
-    def written_words(self):
-        """Sorted word addresses that have been stored to."""
-        return sorted(self._stored)
+    def stored_word(self, address):
+        """The raw ``D XOR A`` storage word at ``address`` (the encoding
+        of zero, ``address`` itself, if never written)."""
+        return self._cell(address & _WORD_ADDR)[0]
+
+    def set_stored_word(self, address, word):
+        """Overwrite the raw storage word at ``address``, keeping its
+        parity bit (a data-array cell fault; no parity is regenerated)."""
+        addr = address & _WORD_ADDR
+        self._put(addr, word, self._cell(addr)[1])
+
+    def parity_bit(self, address):
+        """The stored parity bit of the word at ``address`` (0 if never
+        written)."""
+        return self._cell(address & _WORD_ADDR)[1]
+
+    def set_parity_bit(self, address, bit):
+        """Overwrite the stored parity bit of the word at ``address``."""
+        addr = address & _WORD_ADDR
+        self._put(addr, self._cell(addr)[0], bit & 1)
+
+
+def _words(stored_pages):
+    """``(word address, stored word)`` of every written word of a stored
+    page table, in ascending address order."""
+    for page in sorted(stored_pages):
+        base = page << PAGE_SHIFT
+        for slot, word in enumerate(stored_pages[page]):
+            if word is not None:
+                yield base | (slot << 2), word

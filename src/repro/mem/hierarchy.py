@@ -84,7 +84,8 @@ class MemorySystem:
 
     # -- checkpointing ---------------------------------------------------
     def snapshot(self):
-        """Capture both caches' tag/LRU/dirty/stat state.
+        """Capture both caches' tag/LRU/dirty/stat state (their page
+        tables; see :meth:`Cache.snapshot`).
 
         :class:`~repro.mem.main.MainMemory` is loaded once from the
         program and never written through this interface by the checked
@@ -97,3 +98,9 @@ class MemorySystem:
         icache, dcache = snapshot
         self.icache.restore(icache)
         self.dcache.restore(dcache)
+
+    @staticmethod
+    def flat_snapshot(snapshot):
+        """Both caches' :meth:`Cache.flat_snapshot` forms."""
+        icache, dcache = snapshot
+        return (Cache.flat_snapshot(icache), Cache.flat_snapshot(dcache))

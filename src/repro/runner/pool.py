@@ -41,13 +41,13 @@ _WORKER_CAMPAIGN = None
 def _campaign_config(campaign):
     """The constructor arguments a worker needs to mirror ``campaign``.
 
-    Includes the checkpoint knobs, so each worker builds its golden
+    Includes the checkpoint interval, so each worker builds its golden
     checkpoint set exactly once in the pool initializer and every batch
     it runs goes through its own engine (or, on the reference path,
     replays cold).
     """
     return (campaign.embedded, campaign.run_slack, campaign.use_checkpoints,
-            campaign.checkpoint_interval, campaign.max_checkpoints)
+            campaign.checkpoint_interval)
 
 
 def _init_worker(config):
@@ -56,13 +56,11 @@ def _init_worker(config):
     global _WORKER_CAMPAIGN
     from repro.faults.campaign import Campaign
 
-    (embedded, run_slack, use_checkpoints, checkpoint_interval,
-     max_checkpoints) = config
+    embedded, run_slack, use_checkpoints, checkpoint_interval = config
     _WORKER_CAMPAIGN = Campaign(
         embedded=embedded, run_slack=run_slack,
         use_checkpoints=use_checkpoints,
-        checkpoint_interval=checkpoint_interval,
-        max_checkpoints=max_checkpoints)
+        checkpoint_interval=checkpoint_interval)
     _WORKER_CAMPAIGN.golden_trace()
 
 

@@ -34,7 +34,7 @@ class TestStoreLoad:
     def test_internal_storage_is_scrambled(self):
         mem = CheckedMemory()
         mem.store_word(0x100, 0xDEADBEEF)
-        assert mem._stored[0x100] == 0xDEADBEEF ^ 0x100
+        assert mem.stored_word(0x100) == 0xDEADBEEF ^ 0x100
 
     def test_peek_does_not_check(self):
         mem = CheckedMemory()

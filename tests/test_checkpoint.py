@@ -208,6 +208,17 @@ class TestCheckpointStore:
         assert store.nearest(199).step == 100
         assert store.nearest(10_000).step == store.steps[-1]
 
+    @pytest.mark.parametrize("interval,bound", [(8, None), (4, 16)])
+    def test_nearest_equals_a_linear_scan(self, interval, bound):
+        core = CheckedCore(_embedded("stress"), detect=True)
+        trace = []
+        store = record_checkpoints(core, interval=interval,
+                                   max_checkpoints=bound, trace=trace)
+        for step in range(len(trace) + 2):
+            floor = [at for at in store.steps if at <= step]
+            expected = store.at(floor[-1]) if floor else None
+            assert store.nearest(step) is expected
+
     def test_thinning_bounds_memory_and_doubles_interval(self):
         core = CheckedCore(_embedded("stress"), detect=True)
         store = record_checkpoints(core, interval=4, max_checkpoints=16)

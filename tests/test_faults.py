@@ -129,6 +129,19 @@ class TestStateFaultApplier:
                      if not core.dmem.load_word(addr).ok]
         assert len(corrupted) == 1
 
+    def test_mem_parity_stuck_at_overrides_a_rewrite(self):
+        core = self._core()
+        core.run()
+        applier = StateFaultApplier(
+            FaultSpec("state.mem.parity", 1, index=0, is_state=True), PERMANENT)
+        applier.apply(core)
+        addr = core.dmem.written_words()[0]
+        assert not core.dmem.load_word(addr).ok
+        core.dmem.store_word(addr, core.dmem.peek_word(addr))  # fresh parity
+        assert core.dmem.load_word(addr).ok
+        applier.reassert(core)  # the stuck cell wins again
+        assert not core.dmem.load_word(addr).ok
+
     def test_signal_spec_rejected(self):
         with pytest.raises(ValueError):
             StateFaultApplier(FaultSpec("ex.alu.result", 1), TRANSIENT)

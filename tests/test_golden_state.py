@@ -9,6 +9,12 @@ memory, caches and the scalar core state - together with a running hash
 of the retire trace so far.  The hashes must equal the committed
 fixture ``tests/fixtures/golden_state.json``.
 
+Components are hashed in :meth:`CoreSnapshot.flat` form: protected
+memory as per-word ``(stored, parity)`` dicts and each cache as its
+non-empty ``(index, ways)`` sets plus counters, the form the fixture was
+pinned in before memory and caches were paged.  The fixture therefore
+checks the content of a snapshot, not its page layout.
+
 The fixture was generated by the bit-loop checker datapath (the DCS as a
 175-bit permute-and-fold, canonical words and payload bits by spare-bit
 loops, the SHS reset and transfer location by location).  A faster
@@ -74,8 +80,8 @@ def golden_state_rows(embedded):
     rows = []
 
     def row():
-        snapshot = capture(core)
-        digests = {name: _digest(getattr(snapshot, name)) for name in COMPONENTS[:-1]}
+        flat = capture(core).flat()
+        digests = {name: _digest(value) for name, value in zip(COMPONENTS, flat)}
         digests["trace"] = trace.hexdigest()[:DIGEST_HEX]
         rows.append((core.instret, digests))
 

@@ -1,5 +1,7 @@
 """Unit tests for instruction decoding and classification flags."""
 
+import pickle
+
 import pytest
 
 from repro.isa.decode import DecodeError, decode
@@ -118,3 +120,16 @@ class TestDecodeErrors:
         instr = decode(0)
         assert instr.op is Op.J
         assert instr.offset == 0
+
+
+class TestPickle:
+    @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+    def test_decoded_instr_round_trips(self, op):
+        # Frozen with hand-written slots: unpickling must bypass the
+        # frozen __setattr__.
+        instr = decode(encode(op, rd=1, ra=2, rb=3, imm=5, shamt=4,
+                              offset=-7))
+        again = pickle.loads(pickle.dumps(instr))
+        assert again == instr
+        assert hash(again) == hash(instr)
+        assert again.op is op
