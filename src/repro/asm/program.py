@@ -7,6 +7,8 @@ each word, and the data-segment sites that hold code pointers so phase 3 of
 the embedder can tag them with DCSs).
 """
 
+import struct
+
 from repro.isa import registers
 
 
@@ -92,17 +94,16 @@ class Program:
         return self.labels[label]
 
     def load_into(self, memory):
-        """Write the text and data images into a memory object.
+        """Write the text and data images into a memory object, as two
+        blocks of little-endian bytes.
 
-        ``memory`` must expose ``write_word(addr, value)`` and
-        ``write_byte(addr, value)`` (see :class:`repro.mem.main.MainMemory`).
+        ``memory`` must expose ``write_block(addr, data)`` (see
+        :class:`repro.mem.main.MainMemory`).
         """
-        addr = self.text_base
-        for word in self.words:
-            memory.write_word(addr, word)
-            addr += 4
-        for offset, byte in enumerate(self.data):
-            memory.write_byte(self.data_base + offset, byte)
+        text = struct.pack("<%dI" % len(self.words),
+                           *(word & 0xFFFFFFFF for word in self.words))
+        memory.write_block(self.text_base, text)
+        memory.write_block(self.data_base, self.data)
 
     def footprint(self):
         """(text_bytes, data_bytes) sizes; text growth drives Fig 5-7."""

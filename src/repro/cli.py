@@ -427,8 +427,7 @@ def cmd_campaign(args):
     durations = ((TRANSIENT, PERMANENT) if args.duration == "both"
                  else (args.duration,))
     campaign = Campaign(seed=args.seed,
-                        use_checkpoints=not args.no_checkpoints,
-                        checkpoint_interval=args.checkpoint_interval)
+                        use_checkpoints=not args.no_checkpoints)
     sinks = []
     if not args.quiet:
         sinks.append(StderrTelemetry())
@@ -991,9 +990,6 @@ def build_parser():
                    help="reference path: replay every run from instruction "
                         "0 instead of using the engine and golden-run "
                         "snapshots (identical results, much slower)")
-    p.add_argument("--checkpoint-interval", type=int, default=None,
-                   help="dynamic instructions between golden-run "
-                        "snapshots (default: auto)")
     p.add_argument("--telemetry-jsonl",
                    help="also append every telemetry event as a JSON "
                         "line to this file")

@@ -1,8 +1,8 @@
 """Error-injection campaign orchestration (paper Sec. 4.1, Table 1).
 
-Every experiment injects one fault (one :class:`FaultSpec`, transient or
-permanent) at a sampled dynamic instruction and classifies the outcome
-along the paper's two axes:
+Every experiment injects one fault (one :class:`FaultSpec`, transient,
+permanent or intermittent) at a sampled dynamic instruction and
+classifies the outcome along the paper's two axes:
 
 * **masked?** - a *masking run* with checkers disabled compares every
   retire record against a golden trace.  A transient fault is held
@@ -20,16 +20,16 @@ reproduces Sec. 4.1.1; detection latencies reproduce Sec. 4.2.
 A campaign classifies experiments in exactly two ways, with identical
 results:
 
-* the **fast path** (default) hands experiments in batches to
-  :class:`repro.cpu.batched.BatchedEngine`, which settles what the
-  masking timeline (:mod:`repro.faults.timeline`) proves exactly, decides
-  branch flips and hangs from the golden trace, and runs the rest
-  through the shared loops of
-  :mod:`repro.faults.execution`, warm-started from the golden run's
-  checkpoints;
+* the **fast path** (default) hands experiments of every duration in
+  batches to :class:`repro.cpu.batched.BatchedEngine`, which settles
+  what the masking timeline (:mod:`repro.faults.timeline`) proves
+  exactly and runs every other lane through the shared loops of
+  :mod:`repro.faults.execution`, warm-started at the verdict's start
+  from a sweep over the golden run's checkpoints;
 * the **reference path** (``use_checkpoints=False``) replays both runs
-  of every experiment cold from instruction 0 - the independent
-  baseline the fast path is differentially tested against.
+  of every experiment cold from instruction 0 on the scalar phase
+  methods - the independent baseline the fast path is differentially
+  tested against.
 """
 
 import random
@@ -81,7 +81,7 @@ class ExperimentResult:
     """Classified outcome of one fault-injection experiment."""
 
     spec: object
-    duration: str  # transient | permanent
+    duration: str  # transient | permanent | intermittent
     inject_at: int  # dynamic instruction index of injection
     masked: bool
     detected: bool
@@ -188,28 +188,27 @@ class Campaign:
     """A fault-injection campaign over one embedded workload.
 
     ``use_checkpoints`` (default on) selects the fast path: the golden
-    run snapshots the core every ``checkpoint_interval`` instructions
-    (thinned past the store's bound, see :mod:`repro.faults.checkpoint`)
-    and the batched engine, built lazily by the first batch, classifies
-    experiments against it.  ``use_checkpoints=False`` (CLI
+    run snapshots the core every 64 instructions (thinned past the
+    store's bound, see :mod:`repro.faults.checkpoint`) and the batched
+    engine, built lazily by the first batch, classifies experiments of
+    every duration against it.  ``use_checkpoints=False`` (CLI
     ``--no-checkpoints``) is the reference path: every experiment's
     masking and detection runs replay cold from instruction 0.  Both
     paths write identical records; ``tests/test_batched.py`` and
-    ``tests/test_checkpoint.py`` check that differentially.
+    ``tests/test_timeline_oracle.py`` check that differentially.
 
     ``batched`` is accepted and ignored: the engine is always on.
     """
 
     def __init__(self, embedded=None, seed=0, run_slack=1.25,
                  include_double_bits=True, use_checkpoints=True,
-                 checkpoint_interval=None, batched=None):
+                 batched=None):
         self.embedded = embedded if embedded is not None else build_stress_program()
         self.seed = seed
         self.rng = random.Random(seed)
         self.points = build_point_population(include_double_bits=include_double_bits)
         self.run_slack = run_slack
         self.use_checkpoints = use_checkpoints
-        self.checkpoint_interval = checkpoint_interval
         # Wall-clock/throughput accounting, exposed through telemetry and
         # ``campaign --json``; the engine's counters are folded in as the
         # batches run (pool workers ship per-batch deltas of this dict).
@@ -219,7 +218,6 @@ class Campaign:
             "batches": 0,
             "lanes": 0,
             "synthesized_lanes": 0,
-            "timeline_lanes": 0,
             "evicted_lanes": 0,
             "sweep_instructions": 0,
             "lane_instructions": 0,
@@ -236,18 +234,18 @@ class Campaign:
         """Retire records of the fault-free run (computed once).
 
         With checkpointing enabled the golden run executes with checkers
-        *on* and snapshots the complete core state every
-        ``checkpoint_interval`` instructions as it goes.  A fault-free
-        checkers-on run retires the identical trace (checkers only
-        observe), and one snapshot set then serves both experiment
-        phases; should a checker ever fire on it (an embedding bug -
-        ``false_positive_check`` exists to catch those), checkpointing is
-        disabled and the classic checkers-off golden run is used.
+        *on* and snapshots the complete core state every 64 instructions
+        as it goes.  A fault-free checkers-on run retires the identical
+        trace (checkers only observe), and one snapshot set then serves
+        both experiment phases; should a checker ever fire on it (an
+        embedding bug - ``false_positive_check`` exists to catch those),
+        checkpointing is disabled and the classic checkers-off golden run
+        is used.
         """
         if self._golden is None:
             if self.use_checkpoints:
                 core = CheckedCore(self.embedded, detect=True)
-                store = CheckpointStore(interval=self.checkpoint_interval)
+                store = CheckpointStore()
                 trace = []
                 try:
                     record_checkpoints(core, store=store, trace=trace)
@@ -296,60 +294,24 @@ class Campaign:
         core = CheckedCore(self.embedded, injector=injector, detect=detect)
         return core, injector
 
-    def _warm_start(self, core, inject_at):
-        """Restore the nearest golden checkpoint <= inject_at; returns the
-        dynamic instruction index to resume at (0 = cold start)."""
-        if self._checkpoints is None:
-            return 0
-        snapshot = self._checkpoints.nearest(inject_at)
-        if snapshot is None:
-            return 0
-        core.restore(snapshot)
-        return snapshot.step
-
     def _masking_run(self, spec, duration, inject_at):
-        """Checkers-off run; returns (masked, activated_at, hung).
-
-        Warm-starts from the nearest golden checkpoint at or before the
-        injection point: every instruction before it is bit-identical to
-        the golden run, so trace comparison simply begins at the restored
-        step.  For transient *state* faults the run also early-exits as
-        masked once the (already applied, hence inert) fault's core
-        re-matches the golden state at a checkpoint boundary: from
-        identical replay-relevant state the deterministic tail retires
-        the golden records, so replaying it to halt proves nothing new.
-        """
+        """Cold checkers-off run from instruction 0; returns (masked,
+        activated_at, hung)."""
         golden = self.golden_trace()
         limit = int(len(golden) * self.run_slack) + 64
         core, injector = self._new_core(spec, detect=False)
         schedule = FaultSchedule(spec, duration, inject_at)
-        step = self._warm_start(core, inject_at)
-        store = self._checkpoints
-        # Signal transients stay armed until their first architectural
-        # impact (which ends this run), so only state transients - whose
-        # one-shot flip is behind us once applied - can reconverge.
-        reconverge = (store is not None and duration == TRANSIENT
-                      and spec.is_state)
         return masking_loop(core, injector, schedule, golden,
-                            self._golden_final, limit, step,
-                            store=store, reconverge=reconverge)
+                            self._golden_final, limit, 0)
 
     def _detection_run(self, spec, duration, inject_at):
-        """Checkers-on run; returns (detected, event, hung).
-
-        Warm-starts from the nearest golden checkpoint at or before the
-        injection point.  The checkpoints come from a checkers-on golden
-        run, so the restored checker state (SHS file, anticipated DCS,
-        payload collector, watchdog) is exactly what a cold checkers-on
-        replay would have built - detections and their latencies are
-        bit-identical.
-        """
+        """Cold checkers-on run from instruction 0; returns (detected,
+        event, hung)."""
         golden = self.golden_trace()
         limit = int(len(golden) * self.run_slack) + 64
         core, injector = self._new_core(spec, detect=True)
         schedule = FaultSchedule(spec, duration, inject_at)
-        step = self._warm_start(core, inject_at)
-        return detection_loop(core, injector, schedule, golden, limit, step)
+        return detection_loop(core, injector, schedule, golden, limit, 0)
 
     def _assemble(self, spec, duration, inject_at, masking, detection):
         """Build the ExperimentResult from the two phase outcomes.
@@ -391,7 +353,8 @@ class Campaign:
         )
 
     def _execute(self, spec, duration, inject_at):
-        """Run both scalar phases; returns an ExperimentResult."""
+        """Run both scalar phases cold (the reference path); returns an
+        ExperimentResult."""
         masking = self._masking_run(spec, duration, inject_at)
         detection = self._detection_run(spec, duration, inject_at)
         return self._assemble(spec, duration, inject_at, masking, detection)
@@ -421,37 +384,20 @@ class Campaign:
 
     def _run_entries(self, entries):
         """Classify ``entries`` = [(spec, duration, inject_at)] as one
-        engine batch; returns ExperimentResults in entry order.
-
-        Intermittent faults, the reference path, and a batch whose golden
-        sweep raises (an embedding whose fault-free checkers-on run is
-        not clean) run on the scalar phase methods, which reproduce that
-        behaviour per experiment.
-        """
+        engine batch, or on the scalar phase methods on the reference
+        path; returns ExperimentResults in entry order."""
         start = time.perf_counter()
         engine = self._engine_or_none()
-        results = [None] * len(entries)
-        lanes = []
-        for i, (spec, duration, inject_at) in enumerate(entries):
-            if engine is None or duration not in (TRANSIENT, PERMANENT):
-                results[i] = self._execute(spec, duration, inject_at)
-            else:
-                lanes.append(i)
-        if lanes:
+        if engine is None:
+            results = [self._execute(*entry) for entry in entries]
+        else:
             counters_before = dict(engine.counters)
-            try:
-                outcomes = engine.run_batch([entries[i] for i in lanes])
-            except ArgusError:
-                outcomes = None
-            if outcomes is None:
-                for i in lanes:
-                    results[i] = self._execute(*entries[i])
-            else:
-                for key, value in engine.counters.items():
-                    self.perf[key] += value - counters_before[key]
-                for i, (masking, detection) in zip(lanes, outcomes):
-                    results[i] = self._assemble(*entries[i], masking,
-                                                detection)
+            outcomes = engine.run_batch(entries)
+            for key, value in engine.counters.items():
+                self.perf[key] += value - counters_before[key]
+            results = [self._assemble(*entry, masking, detection)
+                       for entry, (masking, detection)
+                       in zip(entries, outcomes)]
         self.perf["experiments"] += len(entries)
         self.perf["elapsed"] += time.perf_counter() - start
         return results

@@ -10,8 +10,8 @@ reached, which is what makes batched classification identical to scalar
 by construction rather than by re-implementation.
 
 Both loops continue a run already positioned at ``step``: the caller has
-either cold-started the core, warm-started it from a golden checkpoint,
-or materialized it mid-flight from the batch sweep's live golden core.
+either cold-started the core (the reference path) or materialized it
+mid-flight from the batch sweep's live golden core.
 """
 
 from repro.argus.errors import ArgusError

@@ -22,15 +22,19 @@ Every :class:`TimelineVerdict` axis is a theorem, not an estimate: a
 ``detected=True`` means the first checker evaluation that sees the fault
 deterministically alarms (the owning checker is pinned).  Axes that
 depend on data values (aliasing escapes, value masking through logic
-ops) stay ``None`` and must be simulated.
+ops) stay ``None`` and must be simulated.  So is the verdict's
+``start``, the first step at which the faulted run can leave the golden
+stream: the first evaluation of the tap, the first read of a dormant
+register flip, or ``t`` itself.
 
-The batched engine (:mod:`repro.cpu.batched`) reads its site columns
-from this index and asks :meth:`MaskingTimeline.verdict` first for every
-experiment: an axis whose proof fixes the scalar output exactly is
-settled there with no simulation.  :mod:`repro.analysis.masking` builds
-the ARG018/ARG019 lints and ``argus-repro audit --timeline`` on the same
-verdicts; ``tests/test_timeline_oracle.py`` and ``tests/test_masking.py``
-check them against the cold scalar reference.
+The verdict is the batched engine's (:mod:`repro.cpu.batched`) only
+plan for an experiment: :meth:`TimelineVerdict.outcomes` settles the
+axes whose proof fixes the scalar output exactly, and every other lane
+is simulated from ``start``.  :mod:`repro.analysis.masking` builds the
+ARG018/ARG019 lints and ``argus-repro audit --timeline`` on the same
+verdicts; ``tests/test_timeline_oracle.py`` probes every rule through
+the engine against the cold scalar reference, and
+``tests/test_masking.py`` checks the axes.
 """
 
 from bisect import bisect_left
@@ -109,15 +113,20 @@ class TimelineVerdict:
     values and must be simulated.  ``checker`` pins the first alarm's
     owner whenever ``detected`` is proven ``True``.  ``activated_at`` is
     set with ``masked=False`` only where the rule also proves the exact
-    step of the first divergence a masking run reports.
+    step of the first divergence a masking run reports, and ``hung``
+    where that run hangs there.  ``start`` (>= the injection step) is
+    proven too: no step before it can differ from the golden run, so a
+    lane the verdict leaves open is simulated from there.
     """
 
     masked: Optional[bool]
     detected: Optional[bool]
+    start: int
     checker: Optional[str] = None
     rule: str = ""
     detail: str = ""
     activated_at: Optional[int] = None
+    hung: bool = False
 
     @property
     def complete(self):
@@ -128,8 +137,33 @@ class TimelineVerdict:
         return not self.complete and (
             self.masked is not None or self.detected is not None)
 
+    def outcomes(self):
+        """The ``(masking, detection)`` lane outcomes this verdict fixes
+        exactly, in the triples of :mod:`repro.faults.execution`; ``None``
+        for a lane that must be simulated from ``start``.
 
-_UNKNOWN = TimelineVerdict(None, None, rule="unknown")
+        A proven *detection* is never settled: its latency needs the
+        golden cycle/block counters.
+        """
+        masking = detection = None
+        if self.masked:
+            masking = (True, None, False)
+        elif self.masked is False and self.activated_at is not None:
+            masking = (False, self.activated_at, self.hung)
+        if self.detected is False:
+            detection = (False, None, False)
+        return masking, detection
+
+
+def _unknown(start):
+    """Nothing proven; the lanes start at ``start``."""
+    return TimelineVerdict(None, None, start=start, rule="unknown")
+
+
+def _absent(t, rule):
+    """Rule B: the tap is provably never evaluated (or its value is
+    provably discarded) after ``t`` - the fault cannot act."""
+    return TimelineVerdict(True, False, start=t, rule=rule + "/drive-absent")
 
 
 class MaskingTimeline:
@@ -297,15 +331,16 @@ class MaskingTimeline:
 
         Sound for ``transient`` and ``permanent`` durations (campaign
         rows); other durations only receive the timing-independent
-        claims (inert points, alarm-only checker hardware).
+        claims (inert points, alarm-only checker hardware) and start at
+        the injection step.
         """
         target = spec.target
+        t = inject_at
         if target.startswith("inert."):
             # Inert points never match any tap by construction.
-            return TimelineVerdict(True, False, rule="inert")
-        t = inject_at
+            return TimelineVerdict(True, False, start=t, rule="inert")
         if t < 0 or t >= self.length or self._has_unknown(t):
-            return _UNKNOWN
+            return _unknown(t)
         if double_bit is None:
             double_bit = bin(spec.mask).count("1") > 1
 
@@ -317,29 +352,23 @@ class MaskingTimeline:
                     "ex.op_a.par", "ex.op_b.par", "ex.shs_a", "ex.shs_b",
                     "state.shs", "cfc.dcs", "cfc.computed", "cfc.expected",
                     "state.cfc.expected", "id.word.shs", "state.rf.parity"):
-                return TimelineVerdict(True, None, rule="alarm-only")
-            return _UNKNOWN
+                return TimelineVerdict(True, None, start=t, rule="alarm-only")
+            return _unknown(t)
 
         handler = _HANDLERS.get(target)
         if handler is not None:
             return handler(self, spec, duration, t, double_bit)
-        return _UNKNOWN
+        return _unknown(t)
 
     # -- shared sub-rules ----------------------------------------------
-    def _drive_absent(self, key, t, rule):
-        """Rule B: the tap is provably never evaluated (or its value is
-        provably discarded) after ``t`` - the fault cannot act."""
-        if self.next_site(key, t) is None:
-            return TimelineVerdict(True, False, rule=rule + "/drive-absent")
-        return None
-
     def _alarm_at_first_drive(self, key, t, checker, rule):
         """Alarm-only taps whose first evaluation after ``t``
         deterministically resolves both axes."""
         step = self.next_site(key, t)
         if step is None:
-            return TimelineVerdict(True, False, rule=rule + "/drive-absent")
-        return TimelineVerdict(True, True, checker=checker, rule=rule,
+            return _absent(t, rule)
+        return TimelineVerdict(True, True, start=step, checker=checker,
+                               rule=rule,
                                detail="first evaluation at step %d" % step)
 
 
@@ -379,7 +408,7 @@ def _h_cfc(tl, spec, duration, t, double_bit):
     computed vs expected unconditionally for every terminal kind, so the
     first block boundary after ``t`` (the halt terminal at the latest)
     deterministically mismatches within the 5-bit DCS."""
-    return TimelineVerdict(True, True, checker=CHECKER_CONTROL_FLOW,
+    return TimelineVerdict(True, True, start=t, checker=CHECKER_CONTROL_FLOW,
                            rule="cfc-compare")
 
 
@@ -391,29 +420,29 @@ def _h_state_cfc_expected(tl, spec, duration, t, double_bit):
         return _h_cfc(tl, spec, duration, t, double_bit)
     # Permanent stuck-at: a later golden expected-DCS may match the
     # stuck polarity at some boundaries; empirical detection run needed.
-    return TimelineVerdict(True, None, rule="cfc-latch-stuck")
+    return TimelineVerdict(True, None, start=t, rule="cfc-latch-stuck")
 
 
 def _h_shs_operand(key):
     """SHS operand tags: checker-state only; detection needs the CRC5
     fold to miss aliasing - empirical."""
     def handler(tl, spec, duration, t, double_bit):
-        absent = tl._drive_absent(key, t, "shs-tag")
-        if absent is not None:
-            return absent
-        return TimelineVerdict(True, None, rule="shs-tag")
+        step = tl.next_site(key, t)
+        if step is None:
+            return _absent(t, "shs-tag")
+        return TimelineVerdict(True, None, start=step, rule="shs-tag")
     return handler
 
 
 def _h_state_shs(tl, spec, duration, t, double_bit):
-    return TimelineVerdict(True, None, rule="shs-file")
+    return TimelineVerdict(True, None, start=t, rule="shs-file")
 
 
 def _h_hang(tl, spec, duration, t, double_bit):
     """ctl.hang is tapped first thing every step: the masking run hangs
     at ``t`` (liveness violation - unmasked), the watchdog fires."""
-    return TimelineVerdict(False, True, checker=CHECKER_WATCHDOG,
-                           rule="hang")
+    return TimelineVerdict(False, True, start=t, checker=CHECKER_WATCHDOG,
+                           rule="hang", activated_at=t, hung=True)
 
 
 def _h_record_diverge(key, rule, checker=None):
@@ -424,8 +453,8 @@ def _h_record_diverge(key, rule, checker=None):
     def handler(tl, spec, duration, t, double_bit):
         step = tl.next_site(key, t)
         if step is None:
-            return TimelineVerdict(True, False, rule=rule + "/drive-absent")
-        return TimelineVerdict(False, True if checker else None,
+            return _absent(t, rule)
+        return TimelineVerdict(False, True if checker else None, start=step,
                                checker=checker, rule=rule,
                                detail="first evaluation at step %d" % step,
                                activated_at=step)
@@ -436,24 +465,26 @@ def _h_first_eval_detect(key, rule, checker):
     """Exact replay-compare alarms at the tap's first evaluation, but
     the architectural impact is data-dependent (masking run needed)."""
     def handler(tl, spec, duration, t, double_bit):
-        absent = tl._drive_absent(key, t, rule)
-        if absent is not None:
-            return absent
-        return TimelineVerdict(None, True, checker=checker, rule=rule)
+        step = tl.next_site(key, t)
+        if step is None:
+            return _absent(t, rule)
+        return TimelineVerdict(None, True, start=step, checker=checker,
+                               rule=rule)
     return handler
 
 
 def _h_lsu_addr(tl, spec, duration, t, double_bit):
-    absent = tl._drive_absent("mem", t, "lsu-addr")
-    if absent is not None:
-        return absent
+    step = tl.next_site("mem", t)
+    if step is None:
+        return _absent(t, "lsu-addr")
     if spec.mask & registers.ADDR_MASK == 0:
         # Every load and store uses only ``address & ADDR_MASK``: bits
         # above it never reach an architectural value.  The address
         # sub-checker still sees the full tapped address.
-        return TimelineVerdict(True, True, checker=CHECKER_COMPUTATION,
+        return TimelineVerdict(True, True, start=step,
+                               checker=CHECKER_COMPUTATION,
                                rule="lsu-addr-high")
-    return TimelineVerdict(None, True, checker=CHECKER_COMPUTATION,
+    return TimelineVerdict(None, True, start=step, checker=CHECKER_COMPUTATION,
                            rule="lsu-addr")
 
 
@@ -462,12 +493,12 @@ def _h_op_bus(key):
     the first read-port use; even-weight flips pass parity and their
     downstream effect is data-dependent."""
     def handler(tl, spec, duration, t, double_bit):
-        absent = tl._drive_absent(key, t, "op-bus")
-        if absent is not None:
-            return absent
+        step = tl.next_site(key, t)
+        if step is None:
+            return _absent(t, "op-bus")
         if double_bit:
-            return _UNKNOWN
-        return TimelineVerdict(None, True, checker=CHECKER_PARITY,
+            return _unknown(step)
+        return TimelineVerdict(None, True, start=step, checker=CHECKER_PARITY,
                                rule="op-bus")
     return handler
 
@@ -475,7 +506,7 @@ def _h_op_bus(key):
 def _h_mul_product(tl, spec, duration, t, double_bit):
     step = tl.next_site("mul", t)
     if step is None:
-        return TimelineVerdict(True, False, rule="mul/drive-absent")
+        return _absent(t, "mul")
     # 2**k mod 31 is never 0: every single-bit flip of the 64-bit
     # product shifts the checked residue, so the modulo sub-checker
     # alarms at the first MUL/MULU regardless of which half is hit.
@@ -485,11 +516,11 @@ def _h_mul_product(tl, spec, duration, t, double_bit):
     if spec.mask & WORD_MASK == 0:
         # Upper half only: stripped before writeback - architecturally
         # dead.
-        return TimelineVerdict(True, detected, checker=checker,
+        return TimelineVerdict(True, detected, start=step, checker=checker,
                                rule="mul-upper")
     # The flipped low word retires into the record at that step.
-    return TimelineVerdict(False, detected, checker=checker, rule="mul-low",
-                           activated_at=step)
+    return TimelineVerdict(False, detected, start=step, checker=checker,
+                           rule="mul-low", activated_at=step)
 
 
 def _h_div_remainder(tl, spec, duration, t, double_bit):
@@ -502,12 +533,13 @@ def _h_div_remainder(tl, spec, duration, t, double_bit):
 def _h_ex_flag(tl, spec, duration, t, double_bit):
     step = tl.next_site("compare", t)
     if step is None:
-        return TimelineVerdict(True, False, rule="ex-flag/drive-absent")
+        return _absent(t, "ex-flag")
     # The flipped flag is latched and retires in that step's record
     # (unmasked); the compare sub-checker replays the condition against
     # the tapped flag and alarms in the same step.
-    return TimelineVerdict(False, True, checker=CHECKER_COMPUTATION,
-                           rule="ex-flag", activated_at=step)
+    return TimelineVerdict(False, True, start=step,
+                           checker=CHECKER_COMPUTATION, rule="ex-flag",
+                           activated_at=step)
 
 
 def _h_state_flag(tl, spec, duration, t, double_bit):
@@ -517,117 +549,144 @@ def _h_state_flag(tl, spec, duration, t, double_bit):
     if duration == TRANSIENT and instr.op in COMPARE_OPS:
         # The compare overwrites the flag before anything (record
         # included) observes the flip.
-        return TimelineVerdict(True, False, rule="flag-overwritten")
+        return TimelineVerdict(True, False, start=t, rule="flag-overwritten")
     if duration == PERMANENT and instr.op not in COMPARE_OPS and (
             compare is not None or branch is not None):
-        return _UNKNOWN  # reasserts fight every compare: simulate
+        return _unknown(t)  # reasserts fight every compare: simulate
     if instr.op in COMPARE_OPS:
-        return _UNKNOWN
+        return _unknown(t)
     # Every retire record carries the flag: unmasked at t itself.
     if branch is None:
         # Never consumed by a conditional branch (a compare rewrites it
         # first, or nothing reads it): silent corruption.
         if duration == PERMANENT and compare is not None:
-            return _UNKNOWN
-        return TimelineVerdict(False, False, rule="flag-silent")
+            return _unknown(t)
+        return TimelineVerdict(False, False, start=t, rule="flag-silent")
     if compare is not None and compare < branch:
         if duration == PERMANENT:
-            return _UNKNOWN
-        return TimelineVerdict(False, False, rule="flag-silent")
+            return _unknown(t)
+        return TimelineVerdict(False, False, start=t, rule="flag-silent")
     # A conditional branch consumes the corrupted flag first: control
     # may diverge and DCS detection is aliasing-dependent.
-    return TimelineVerdict(False, None, rule="flag-branch")
+    return TimelineVerdict(False, None, start=t, rule="flag-branch")
 
 
 def _h_state_pc(tl, spec, duration, t, double_bit):
     # The retire record's pc field is the architectural latch: the flip
     # shows at step t itself.  Where the wrong stream goes is wild.
-    return TimelineVerdict(False, None, rule="state-pc")
+    return TimelineVerdict(False, None, start=t, rule="state-pc")
 
 
 def _h_ctl_btarget(tl, spec, duration, t, double_bit):
-    for _step, (category, _taken, _conditional) in tl.branches_from(t):
-        if category == "clean":
-            continue
-        if category == "proof":
-            # The transfer consumes the flipped target: the pc stream
-            # diverges two steps later (delay slot retires in between).
-            return TimelineVerdict(False, None, rule="btarget")
-        return _UNKNOWN
-    return TimelineVerdict(True, False, rule="btarget/drive-absent")
+    """Both branch flips leave the branch's and its delay slot's retire
+    records untouched (neither the flag nor any writeback changes);
+    their only lever is the post-delay-slot pc, two steps later.  The
+    population's target masks (bits 2..26) survive both the direct
+    ``& WORD_MASK`` and the indirect ``& ADDR_MASK & ~3`` reductions, so
+    a flip redirects the first *taken* branch (proof, or a degenerate
+    one whose target is its fall-through); a clean branch or a
+    degenerate one not taken discards the target.  Where the trace ends
+    before the transfer shows, nothing is proven."""
+    start = tl.next_site("branch", t)
+    for step, (category, taken, _conditional) in tl.branches_from(t):
+        if category == "unknown":
+            return _unknown(start)
+        if taken:
+            return TimelineVerdict(False, None, start=start, rule="btarget",
+                                   activated_at=step + 2)
+    return _absent(t, "btarget")
 
 
 def _h_ctl_flag(tl, spec, duration, t, double_bit):
-    for _step, (category, taken, conditional) in tl.branches_from(t):
+    start = tl.next_site("cond_branch", t)
+    for step, (category, taken, conditional) in tl.branches_from(t):
         if not conditional:
             continue  # unconditional: direction input unused
         if category == "degenerate":
             continue  # taken == fallthrough: direction is invisible
         if category == "unknown":
-            return _UNKNOWN
+            return _unknown(start)
         if taken is None:
             continue  # dropped branch: direction discarded
         # Effective conditional with distinct successors: the flipped
         # direction retires the other one - pc diverges at step+2.  The
         # CFC keeps its own verified flag copy, so detection rides on
         # the wrong block's DCS (1/32 aliasing): empirical.
-        return TimelineVerdict(False, None, rule="ctl-flag")
-    return TimelineVerdict(True, False, rule="ctl-flag/drive-absent")
+        return TimelineVerdict(False, None, start=start, rule="ctl-flag",
+                               activated_at=step + 2)
+    return _absent(t, "ctl-flag")
 
 
 def _h_rf_value(tl, spec, duration, t, double_bit):
     reg = spec.index
     if reg == registers.ZERO_REG:
         # The state applier skips the hard-wired zero register.
-        return TimelineVerdict(True, False, rule="rf-zero")
+        return TimelineVerdict(True, False, start=t, rule="rf-zero")
     if reg == registers.LINK_REG:
         # Block-boundary link tagging reads and rewrites r9 outside the
         # decoded instruction stream: no sound window analysis.
-        return _UNKNOWN
+        return _unknown(t)
     read = tl.next_read(reg, t)
     write = tl.next_write(reg, t)
     if read is None and write is None:
         # Untouched to the end: no retire record differs, the final
         # architectural-state compare (after the last step) sees the
         # flip, and no checker ever reads the cell.
-        return TimelineVerdict(False, False, rule="rf-untouched",
+        return TimelineVerdict(False, False, start=t, rule="rf-untouched",
                                activated_at=tl.length)
     if duration == TRANSIENT and write is not None and (
             read is None or write < read):
         # Overwritten before any read: the write regenerates parity and
         # erases the one-shot flip entirely.
-        return TimelineVerdict(True, False, rule="rf-dead-window")
+        return TimelineVerdict(True, False, start=t, rule="rf-dead-window")
     if read is not None and (write is None or read <= write):
         # Read first (operand fetch precedes same-step writeback): the
         # state applier leaves the stored parity stale, so a single-bit
         # flip trips the read-port parity check immediately.
+        start = _dormant_until(duration, read, t)
         if double_bit:
-            return _UNKNOWN
-        return TimelineVerdict(None, True, checker=CHECKER_PARITY,
+            return _unknown(start)
+        return TimelineVerdict(None, True, start=start, checker=CHECKER_PARITY,
                                rule="rf-read-first")
-    return _UNKNOWN  # permanent stuck-at vs rewrite: data-dependent
+    return _unknown(t)  # permanent stuck-at vs rewrite: data-dependent
 
 
 def _h_rf_parity(tl, spec, duration, t, double_bit):
     reg = spec.index
     if reg == registers.ZERO_REG:
-        return TimelineVerdict(True, False, rule="rf-zero")
+        return TimelineVerdict(True, False, start=t, rule="rf-zero")
     # Parity bits are metadata: never in records or architectural state.
     if reg == registers.LINK_REG:
         # Link tagging rewrites r9 (and its parity) outside the decoded
         # stream, so only the masking axis is provable.
-        return TimelineVerdict(True, None, rule="rf-parity-link")
+        return TimelineVerdict(True, None, start=t, rule="rf-parity-link")
     read = tl.next_read(reg, t)
     write = tl.next_write(reg, t)
     if read is not None and (write is None or read <= write):
-        return TimelineVerdict(True, True, checker=CHECKER_PARITY,
+        start = _dormant_until(duration, read, t)
+        return TimelineVerdict(True, True, start=start, checker=CHECKER_PARITY,
                                rule="rf-parity-read-first")
     if read is None:
-        return TimelineVerdict(True, False, rule="rf-parity-unread")
+        return TimelineVerdict(True, False, start=t, rule="rf-parity-unread")
     if duration == TRANSIENT:
         # Overwritten first: the write regenerates the parity bit.
-        return TimelineVerdict(True, False, rule="rf-parity-rewritten")
-    return TimelineVerdict(True, None, rule="rf-parity-stuck")
+        return TimelineVerdict(True, False, start=t,
+                               rule="rf-parity-rewritten")
+    return TimelineVerdict(True, None, start=t, rule="rf-parity-stuck")
+
+
+def _dormant_until(duration, read, t):
+    """Start of a register-file lane whose cell is read before it is
+    written (never r9, which block-end DCS tagging rewrites outside the
+    retire records).
+
+    A transient flip rides along dormant until that read: nothing
+    touches the cell between injection and the read, so applying the
+    XOR there (the engine's pre-apply) gives the identical value and
+    polarity.  A permanent interleaves stuck-at reasserts with the run
+    from ``t`` on.
+    """
+    return read if duration == TRANSIENT else t
 
 
 def _h_id_word_fu(tl, spec, duration, t, double_bit):
@@ -635,10 +694,10 @@ def _h_id_word_fu(tl, spec, duration, t, double_bit):
     if step is None:
         # Spare-bit-only everywhere: the FU-side copy decodes to the
         # identical instruction and nothing else reads it.
-        return TimelineVerdict(True, False, rule="decode-fu/spare")
+        return TimelineVerdict(True, False, start=t, rule="decode-fu/spare")
     # Until ``step`` execution is bit-identical; there the canonical
     # cross-check sees fu-copy != chk-copy and raises.
-    return TimelineVerdict(None, True, checker=CHECKER_COMPUTATION,
+    return TimelineVerdict(None, True, start=t, checker=CHECKER_COMPUTATION,
                            rule="decode-fu")
 
 
@@ -649,16 +708,17 @@ def _h_id_word_chk(tl, spec, duration, t, double_bit):
         if call is None:
             # Canonically invisible and no call-link payload to corrupt:
             # the chk copy feeds only gated checker paths.
-            return TimelineVerdict(True, None, rule="decode-chk/spare")
-        return _UNKNOWN
+            return TimelineVerdict(True, None, start=t,
+                                   rule="decode-chk/spare")
+        return _unknown(t)
     sig = tl.next_site("sig", t)
     if (call is None or step <= call) and (sig is None or sig >= step):
         # No architectural side path (call-link tagging) and no raw-word
         # terminator test (SIG spare bits) can act before the canonical
         # cross-check raises at ``step``.
-        return TimelineVerdict(None, True, checker=CHECKER_COMPUTATION,
-                               rule="decode-chk")
-    return _UNKNOWN
+        return TimelineVerdict(None, True, start=t,
+                               checker=CHECKER_COMPUTATION, rule="decode-chk")
+    return _unknown(t)
 
 
 def _h_id_word_shs(tl, spec, duration, t, double_bit):
@@ -666,8 +726,8 @@ def _h_id_word_shs(tl, spec, duration, t, double_bit):
     if step is None:
         # The SHS-side copy contributes only canonical content (the op
         # identifier hashes the spare-cleared word): fully inert.
-        return TimelineVerdict(True, False, rule="decode-shs/spare")
-    return TimelineVerdict(True, None, rule="decode-shs")
+        return TimelineVerdict(True, False, start=t, rule="decode-shs/spare")
+    return TimelineVerdict(True, None, start=t, rule="decode-shs")
 
 
 def _h_if_inst(tl, spec, duration, t, double_bit):
@@ -676,8 +736,8 @@ def _h_if_inst(tl, spec, duration, t, double_bit):
     if step is None and call is None:
         # All three decode copies see the same spare-bit-only change;
         # only collected payloads (checker-side) are perturbed.
-        return TimelineVerdict(True, None, rule="fetch-word/spare")
-    return _UNKNOWN
+        return TimelineVerdict(True, None, start=t, rule="fetch-word/spare")
+    return _unknown(t)
 
 
 _HANDLERS = {

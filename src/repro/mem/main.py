@@ -94,8 +94,18 @@ class MainMemory:
         return bytes(self.read_byte(address + i) for i in range(size))
 
     def write_block(self, address, data):
-        for i, byte in enumerate(data):
-            self.write_byte(address + i, byte)
+        """Write the bytes of ``data`` from ``address`` on, wrapping at
+        ``ADDR_MASK`` as :meth:`write_byte` does: one slice copy per
+        page touched."""
+        data = memoryview(data).cast("B")
+        pos = 0
+        while pos < len(data):
+            address &= registers.ADDR_MASK
+            offset = address & _PAGE_MASK
+            chunk = min(_PAGE_SIZE - offset, len(data) - pos)
+            self._page(address)[offset:offset + chunk] = data[pos:pos + chunk]
+            pos += chunk
+            address += chunk
 
     def touched_pages(self):
         """Sorted page numbers that have been written (testing/inspection)."""

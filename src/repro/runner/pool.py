@@ -41,13 +41,11 @@ _WORKER_CAMPAIGN = None
 def _campaign_config(campaign):
     """The constructor arguments a worker needs to mirror ``campaign``.
 
-    Includes the checkpoint interval, so each worker builds its golden
-    checkpoint set exactly once in the pool initializer and every batch
-    it runs goes through its own engine (or, on the reference path,
-    replays cold).
+    Each worker builds its golden checkpoint set exactly once in the pool
+    initializer, and every batch it runs goes through its own engine (or,
+    on the reference path, replays cold).
     """
-    return (campaign.embedded, campaign.run_slack, campaign.use_checkpoints,
-            campaign.checkpoint_interval)
+    return (campaign.embedded, campaign.run_slack, campaign.use_checkpoints)
 
 
 def _init_worker(config):
@@ -56,11 +54,10 @@ def _init_worker(config):
     global _WORKER_CAMPAIGN
     from repro.faults.campaign import Campaign
 
-    embedded, run_slack, use_checkpoints, checkpoint_interval = config
+    embedded, run_slack, use_checkpoints = config
     _WORKER_CAMPAIGN = Campaign(
         embedded=embedded, run_slack=run_slack,
-        use_checkpoints=use_checkpoints,
-        checkpoint_interval=checkpoint_interval)
+        use_checkpoints=use_checkpoints)
     _WORKER_CAMPAIGN.golden_trace()
 
 

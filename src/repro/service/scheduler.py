@@ -52,10 +52,11 @@ _TERMINAL = (DONE, FAILED)
 
 DURATION_CHOICES = ("transient", "permanent", "both")
 
-#: Spec fields of execution modes since removed.  Job documents written
-#: before then still carry them; they never entered a content key or a
-#: result, so loading such a document drops them.
-_RETIRED_SPEC_FIELDS = ("hybrid", "spot_check_rate", "batched", "batch_size")
+#: Spec fields of execution modes and speed knobs since removed.  Job
+#: documents written before then still carry them; they never entered a
+#: content key or a result, so loading such a document drops them.
+_RETIRED_SPEC_FIELDS = ("hybrid", "spot_check_rate", "batched", "batch_size",
+                        "checkpoint_interval")
 
 
 class SpecError(ValueError):
@@ -134,14 +135,13 @@ class CampaignSpec:
     run_slack: float = 1.25
     include_double_bits: bool = True
     use_checkpoints: bool = True
-    checkpoint_interval: Optional[int] = None
     priority: int = 0
     plan_start: Optional[int] = None
     plan_stop: Optional[int] = None
 
     _FIELDS = ("workload", "source", "experiments", "duration", "seed",
                "run_slack", "include_double_bits", "use_checkpoints",
-               "checkpoint_interval", "priority", "plan_start", "plan_stop")
+               "priority", "plan_start", "plan_stop")
 
     @classmethod
     def from_dict(cls, payload):
@@ -223,8 +223,7 @@ class CampaignSpec:
         return Campaign(embedded=embedded, seed=self.seed,
                         run_slack=self.run_slack,
                         include_double_bits=self.include_double_bits,
-                        use_checkpoints=self.use_checkpoints,
-                        checkpoint_interval=self.checkpoint_interval)
+                        use_checkpoints=self.use_checkpoints)
 
 
 def _summary_to_dict(summary):

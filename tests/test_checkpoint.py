@@ -22,13 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cpu.batched
+import repro.faults.checkpoint
 from repro.cpu.checkedcore import CheckedCore
 from repro.faults.campaign import Campaign
 from repro.faults.checkpoint import (CheckpointStore, capture,
                                      masking_view_of, record_checkpoints,
                                      restore)
+from repro.faults.execution import masking_loop
 from repro.faults.injector import SignalInjector
 from repro.faults.model import PERMANENT, TRANSIENT, FaultSpec, StateFaultApplier
+from repro.runner.journal import result_to_record
 from repro.faults.stress import build_stress_program
 from repro.toolchain import embed_program
 from repro.workloads import MESA, RASTA
@@ -159,7 +163,7 @@ def test_restored_core_replays_identically(name, at, extra):
     core.restore(snap)  # ...and come back
 
     # The same snapshot warm-starts a *fresh* core into the identical
-    # state - this is precisely what Campaign._warm_start does.
+    # state - this is precisely what the engine's sweep and lanes do.
     fresh = CheckedCore(embedded, detect=True).restore(snap)
     assert _full_state(fresh) == _full_state(core)
 
@@ -276,15 +280,17 @@ class TestDifferentialClassification:
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_PROGRAMS)
     @pytest.mark.parametrize("duration", (TRANSIENT, PERMANENT))
-    def test_same_seed_same_results(self, name, duration):
+    def test_same_seed_same_results(self, name, duration, monkeypatch):
+        # Checkpoints every 32 instructions, half the default spacing.
+        monkeypatch.setattr(repro.faults.checkpoint, "DEFAULT_INTERVAL", 32)
         warm = Campaign(embedded=_embedded(name), seed=41,
-                        use_checkpoints=True, checkpoint_interval=32)
+                        use_checkpoints=True)
         cold = Campaign(embedded=_embedded(name), seed=41,
                         use_checkpoints=False)
         summary_warm = warm.run(experiments=40, duration=duration)
         summary_cold = cold.run(experiments=40, duration=duration)
 
-        assert warm.checkpoints() is not None
+        assert warm.checkpoints().interval == 32
         assert cold.checkpoints() is None
         # Identical golden references first (same trace either way).
         assert len(warm.golden_trace()) == len(cold.golden_trace())
@@ -308,9 +314,9 @@ class TestDifferentialClassification:
         assert summary_warm.checker_counts == summary_cold.checker_counts
 
     def test_explicit_inject_points_cover_cold_and_warm_starts(self):
-        """inject_at below the first checkpoint falls back to a cold
-        start; far beyond it restores - both classify identically."""
-        warm = Campaign(seed=5, use_checkpoints=True, checkpoint_interval=64)
+        """inject_at below the first checkpoint sweeps from a cold start;
+        far beyond it restores - both classify identically."""
+        warm = Campaign(seed=5, use_checkpoints=True)
         cold = Campaign(seed=5, use_checkpoints=False)
         spec = FaultSpec("ex.alu.result", 1 << 3)
         for inject_at in (0, 5, 63, 64, 65, 400, 600):
@@ -320,18 +326,37 @@ class TestDifferentialClassification:
 
 
 class TestReconvergence:
-    def test_masked_state_transient_early_exits(self):
-        """An SHS-state transient is invisible to the checkers-off run,
-        so the masking run reconverges at the first boundary instead of
-        replaying to halt - and still classifies masked."""
-        campaign = Campaign(seed=3, use_checkpoints=True,
-                            checkpoint_interval=32)
-        spec = FaultSpec("state.shs", 1 << 1, index=7, is_state=True)
-        masked, activated_at, hung = campaign._masking_run(spec, TRANSIENT, 40)
-        assert masked and activated_at is None and not hung
+    def test_masked_state_transient_early_exits(self, monkeypatch):
+        """A link-register transient (r9, which no timeline rule covers)
+        is an engine masking lane simulated from its injection step.
+        Once the flip is overwritten, the lane re-matches the golden
+        masking view at a checkpoint boundary and exits there instead of
+        replaying to halt - and still classifies like the cold
+        reference."""
+        lanes = []
+
+        def spy(core, injector, schedule, golden, golden_final, limit, step,
+                **kwargs):
+            outcome = masking_loop(core, injector, schedule, golden,
+                                   golden_final, limit, step, **kwargs)
+            lanes.append((step, core.instret, outcome))
+            return outcome
+
+        monkeypatch.setattr(repro.cpu.batched, "masking_loop", spy)
+        campaign = Campaign(seed=3)
+        spec = FaultSpec("state.rf.value", 1 << 4, index=9, is_state=True)
+        verdict = campaign.timeline().verdict(spec, TRANSIENT, 40)
+        assert verdict.outcomes()[0] is None and verdict.start == 40
+        got = campaign.run_experiment(spec, TRANSIENT, inject_at=40)
 
         cold = Campaign(seed=3, use_checkpoints=False)
-        assert cold._masking_run(spec, TRANSIENT, 40) == (True, None, False)
+        want = cold.run_experiment(spec, TRANSIENT, inject_at=40)
+        assert result_to_record(got) == result_to_record(want)
+        assert got.masked
+        (start, stop, outcome), = lanes
+        assert outcome == (True, None, False)
+        assert stop - start < campaign.golden_length - start
+        assert stop % campaign.checkpoints().interval == 0
 
     def test_campaign_escape_hatch_disables_stores(self):
         campaign = Campaign(seed=3, use_checkpoints=False)
@@ -343,10 +368,7 @@ class TestCli:
     def test_campaign_flags_parse(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["campaign", "--no-checkpoints", "--checkpoint-interval", "128"])
+        args = build_parser().parse_args(["campaign", "--no-checkpoints"])
         assert args.no_checkpoints is True
-        assert args.checkpoint_interval == 128
         args = build_parser().parse_args(["campaign"])
         assert args.no_checkpoints is False
-        assert args.checkpoint_interval is None

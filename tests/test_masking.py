@@ -20,7 +20,6 @@ from repro.analysis.masking import (
     timeline_summary,
 )
 from repro.asm import assemble, parse
-from repro.cpu.batched import settled
 from repro.faults.campaign import Campaign
 from repro.faults.model import PERMANENT, TRANSIENT, FaultSpec
 from repro.runner.journal import result_to_record
@@ -292,6 +291,6 @@ def test_soundness_vs_simulation(name):
             assert result.detected == verdict.detected, context
         if verdict.detected and verdict.checker is not None:
             assert result.checker == verdict.checker, context
-        if settled(verdict) != (None, None):
+        if verdict.outcomes() != (None, None):
             got = engine.run_experiment(spec, duration, inject_at=t)
             assert result_to_record(got) == result_to_record(result), context

@@ -1,8 +1,11 @@
 """Unit tests for main memory, caches and the memory system."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.isa import registers
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.hierarchy import MemoryConfig, MemorySystem
 from repro.mem.main import MainMemory, MisalignedAccess
@@ -61,6 +64,32 @@ class TestMainMemory:
         snap = mem.snapshot()
         mem.write_word(0x100, 0)  # touches a page but stays zero
         assert mem.equals_snapshot(snap)
+
+
+def _write_bytes(mem, address, data):
+    """The byte loop ``write_block`` replaced, kept as its specification."""
+    for i, byte in enumerate(data):
+        mem.write_byte(address + i, byte)
+
+
+class TestWriteBlock:
+    @pytest.mark.parametrize("address,size", [
+        (0x100, 0),
+        (0x2345, 100),  # inside one page
+        (0xFFE, 4),  # across one page boundary
+        (0x1000 - 3, 2 * 0x1000 + 7),  # across three page boundaries
+        (registers.ADDR_MASK - 5, 16),  # wraps to address 0
+        (registers.ADDR_MASK + 1 + 0x10, 8),  # bits above ADDR_MASK dropped
+    ])
+    def test_matches_byte_writes(self, address, size):
+        data = bytearray(random.Random(size).randrange(256)
+                         for _ in range(size))
+        block, spec = MainMemory(), MainMemory()
+        block.write_word(0x100, 0xDEADBEEF)  # a page already present
+        spec.write_word(0x100, 0xDEADBEEF)
+        block.write_block(address, data)
+        _write_bytes(spec, address, data)
+        assert block.snapshot() == spec.snapshot()
 
 
 class TestCacheConfig:

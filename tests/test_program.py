@@ -5,6 +5,7 @@ import pytest
 from repro.asm import assemble, parse
 from repro.asm.program import default_data_base
 from repro.mem.main import MainMemory
+from repro.workloads import WORKLOADS
 
 SOURCE = """
 start:  li r1, 1
@@ -49,3 +50,25 @@ class TestProgram:
     def test_lines_map_to_source(self):
         program = assemble(parse("nop\n\nhalt"))
         assert program.lines == [1, 3]
+
+
+def _load_word_and_byte_wise(program, memory):
+    """The word and byte loops ``load_into`` replaced, kept as its
+    specification."""
+    addr = program.text_base
+    for word in program.words:
+        memory.write_word(addr, word)
+        addr += 4
+    for offset, byte in enumerate(program.data):
+        memory.write_byte(program.data_base + offset, byte)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_load_into_matches_word_and_byte_writes(name):
+    """Every bundled workload's embedded image loads as two blocks into
+    exactly the memory the per-word and per-byte writes built."""
+    program = WORKLOADS[name].build_embedded().program
+    block, spec = MainMemory(), MainMemory()
+    program.load_into(block)
+    _load_word_and_byte_wise(program, spec)
+    assert block.snapshot() == spec.snapshot()

@@ -1,66 +1,82 @@
-"""Rule-coverage oracle for the engine's first planning stage.
+"""Rule-coverage oracle for the engine's one planner.
 
-The batched engine settles a lane from a masking-timeline verdict, with
-no simulation, wherever :func:`repro.cpu.batched.settled` says the proof
-fixes the scalar output.  Every ``(rule, duration)`` pair it does that
-for is probed here at least once, and the engine's whole journal record
-must equal the cold scalar reference's
+The batched engine plans every lane from one masking-timeline verdict:
+:meth:`~repro.faults.timeline.TimelineVerdict.outcomes` settles the
+lanes whose proof fixes the scalar output, and every other lane is
+simulated from the verdict's ``start``.  A wrong axis or a wrong start
+is a wrong record, so every ``(rule, duration)`` pair the timeline
+returns is probed here at least once, and the engine's whole journal
+record must equal the cold scalar reference's
 (``Campaign(use_checkpoints=False)``).
 
 Probes are picked per *target*, not by point weight (a weighted draw is
 mostly ``state.rf.value``): every signal of the injection population,
 with single-bit masks and within-width multi-bit masks the population
 does not sample (such as a product mask straddling bit 31/32), on every
-register or index, at stratified injection times.  Programs are visited
-short ones first.  A short program probes each pair it reaches; a long
-one, where every reference run replays tens of thousands of
-instructions twice, probes the pairs no earlier program reached plus
-``LONG_EXTRA`` of the least-probed others.
+register or index, at stratified injection times, for transient,
+permanent and intermittent faults.  Programs are visited short ones
+first.  A short program probes each pair it reaches; a long one, where
+every reference run replays tens of thousands of instructions twice,
+probes the pairs no earlier program reached plus ``LONG_EXTRA`` of the
+least-probed others.
 
-Tier-1 runs the small, stress and fuzz programs plus mesa.  With
-``ARGUS_ORACLE_WORKLOADS=all`` every bundled workload follows, and the
-per-rule hit counts are printed at the end (run with ``-s``), so a rule
-no probe reaches shows up.
+Tier-1 runs the small and stress programs, the fuzz programs of
+``FUZZ_SEEDS`` and mesa.  With ``ARGUS_ORACLE_WORKLOADS=all`` every
+bundled workload and 16 more fuzz seeds follow, and the per-rule hit
+counts are printed at the end (run with ``-s``), so a rule no probe
+reaches shows up.
 """
 
 import os
 
 import pytest
 
-from repro.cpu.batched import settled
 from repro.faults.campaign import Campaign
-from repro.faults.model import PERMANENT, TRANSIENT, FaultSpec
+from repro.faults.model import INTERMITTENT, PERMANENT, TRANSIENT, FaultSpec
 from repro.faults.points import signal_rows
 from repro.runner.journal import result_to_record
+from repro.toolchain import embed_program
 from repro.workloads import WORKLOADS
+from repro.workloads.fuzz import generate_program
 from tests.test_batched import _embedded
 
 _ALL = os.environ.get("ARGUS_ORACLE_WORKLOADS") == "all"
-SHORT = ("small", "stress", "fuzz")
+#: ``generate_program`` seeds besides the "fuzz" program's 1234.
+FUZZ_SEEDS = (7, 99) + (tuple(range(3001, 3017)) if _ALL else ())
+SHORT = ("small", "stress", "fuzz") + tuple("fuzz-%d" % seed
+                                            for seed in FUZZ_SEEDS)
 LONG = ("mesa",) + (tuple(sorted(set(WORKLOADS) - {"mesa"})) if _ALL else ())
 #: Extra already-probed pairs per long program, least-probed first.
 LONG_EXTRA = 4 if _ALL else 2
+DURATIONS = (TRANSIENT, PERMANENT, INTERMITTENT)
 
-#: Every timeline rule whose verdict settles a lane: the hit-count
-#: table prints each one, so a rule no probe reaches reads 0 there.
+#: Every timeline rule whose verdict settles a lane (the rest of the
+#: experiment is simulated from the verdict's start).
 SETTLING_RULES = (
-    "inert", "alu-result", "alu-result/drive-absent",
-    "btarget/drive-absent", "cfc-compare", "cfc-latch-stuck",
-    "checker-internal", "checker-internal/drive-absent",
+    "inert", "alarm-only", "alu-result", "alu-result/drive-absent",
+    "btarget", "btarget/drive-absent", "cfc-compare", "cfc-latch-stuck",
+    "checker-internal", "checker-internal/drive-absent", "ctl-flag",
     "ctl-flag/drive-absent", "decode-chk/spare", "decode-fu/spare",
     "decode-shs", "decode-shs/spare", "div-quotient",
     "div-quotient/drive-absent", "div-remainder",
     "div-remainder/drive-absent", "ex-flag", "ex-flag/drive-absent",
-    "fetch-word/spare", "flag-overwritten", "flag-silent", "load-data",
-    "load-data/drive-absent", "lsu-addr-high", "lsu-addr/drive-absent",
-    "lsu-mem-addr/drive-absent", "mul-low", "mul-upper",
-    "mul/drive-absent", "op-bus/drive-absent", "parity-meta",
+    "fetch-word/spare", "flag-overwritten", "flag-silent", "hang",
+    "load-data", "load-data/drive-absent", "lsu-addr-high",
+    "lsu-addr/drive-absent", "lsu-mem-addr/drive-absent", "mul-low",
+    "mul-upper", "mul/drive-absent", "op-bus/drive-absent", "parity-meta",
     "parity-meta/drive-absent", "rf-dead-window", "rf-parity-link",
     "rf-parity-read-first", "rf-parity-rewritten", "rf-parity-stuck",
     "rf-parity-unread", "rf-untouched", "rf-zero", "shs-file", "shs-tag",
     "shs-tag/drive-absent", "store-data", "store-data/drive-absent",
     "store-waddr", "store-waddr/drive-absent", "wb-port",
     "wb-port/drive-absent",
+)
+
+#: Every timeline rule that settles no lane and only places the start
+#: of the simulated ones.
+START_RULES = (
+    "decode-chk", "decode-fu", "flag-branch", "lsu-addr", "lsu-mem-addr",
+    "op-bus", "rf-read-first", "state-pc", "unknown",
 )
 
 #: Probes run so far per (rule, duration), across the programs.
@@ -100,23 +116,24 @@ def _times(length):
                    if 0 <= t + k < length})
 
 
-def _settling_probes(campaign):
-    """The first candidate per settled (rule, duration) pair, in
-    candidate order."""
+def _rule_probes(campaign):
+    """The first candidate per (rule, duration) pair, in candidate
+    order."""
     timeline = campaign.timeline()
     specs = _specs(campaign)
     first = {}
     for duration, t, spec in ((duration, t, spec)
-                              for duration in (TRANSIENT, PERMANENT)
+                              for duration in DURATIONS
                               for t in _times(timeline.length)
                               for spec in specs):
         verdict = timeline.verdict(spec, duration, t)
-        if settled(verdict) != (None, None):
-            first.setdefault((verdict.rule, duration), (spec, duration, t))
+        first.setdefault((verdict.rule, duration), (spec, duration, t))
     return first
 
 
 def _program(name):
+    if name.startswith("fuzz-"):
+        return embed_program(generate_program(int(name[len("fuzz-"):])))
     if name in SHORT:
         return _embedded(name)
     return WORKLOADS[name].build_embedded()
@@ -127,8 +144,7 @@ def test_settled_lanes_match_reference(name):
     embedded = _program(name)
     engine = Campaign(embedded=embedded, seed=11)
     reference = Campaign(embedded=embedded, seed=11, use_checkpoints=False)
-    found = _settling_probes(engine)
-    assert found, "no timeline rule settles a lane on %s" % name
+    found = _rule_probes(engine)
     keys = list(found)
     if name not in SHORT:
         fresh = [key for key in keys if not HITS.get(key)]
@@ -137,7 +153,7 @@ def test_settled_lanes_match_reference(name):
         keys = fresh + seen[:LONG_EXTRA]
     probes = [found[key] for key in keys]
     got = engine._run_entries(probes)
-    assert engine.perf["timeline_lanes"] > 0 or not probes
+    assert engine.perf["lanes"] == 2 * len(probes)
     for key, probe, result in zip(keys, probes, got):
         want = reference.run_experiment(*probe)
         assert result_to_record(result) == result_to_record(want), (
@@ -148,20 +164,25 @@ def test_settled_lanes_match_reference(name):
 
 def test_rule_hit_counts():
     """Print per-(rule, duration) probe counts.  Every rule probed must
-    be listed in ``SETTLING_RULES``, and the rules behind the engine's
-    main savings must have been probed."""
+    be listed in ``SETTLING_RULES`` or ``START_RULES``, and the rules
+    behind the engine's main savings must have been probed."""
     if not HITS:
         pytest.skip("run with the per-program oracle tests")
-    width = max(len(rule) for rule in SETTLING_RULES)
-    print("\ntimeline rules settling engine lanes, probes per duration:")
-    for rule in SETTLING_RULES:
-        print("  %-*s  transient %3d  permanent %3d" % (
-            width, rule, HITS.get((rule, TRANSIENT), 0),
-            HITS.get((rule, PERMANENT), 0)))
+    width = max(len(rule) for rule in SETTLING_RULES + START_RULES)
+    for title, rules in (("settling lanes", SETTLING_RULES),
+                         ("placing lane starts only", START_RULES)):
+        print("\ntimeline rules %s, probes per duration:" % title)
+        for rule in rules:
+            print("  %-*s  %s" % (width, rule, "  ".join(
+                "%s %3d" % (duration, HITS.get((rule, duration), 0))
+                for duration in DURATIONS)))
     probed = {rule for rule, _ in HITS}
-    assert probed <= set(SETTLING_RULES), probed - set(SETTLING_RULES)
-    for rule in ("inert", "rf-untouched", "rf-dead-window", "rf-zero",
-                 "checker-internal", "checker-internal/drive-absent",
-                 "alu-result", "mul-low", "mul-upper", "ex-flag", "wb-port",
-                 "store-data", "lsu-addr-high", "rf-parity-link"):
+    listed = set(SETTLING_RULES) | set(START_RULES)
+    assert probed <= listed, probed - listed
+    for rule in ("inert", "alarm-only", "rf-untouched", "rf-dead-window",
+                 "rf-zero", "checker-internal",
+                 "checker-internal/drive-absent", "alu-result", "mul-low",
+                 "mul-upper", "ex-flag", "wb-port", "store-data",
+                 "lsu-addr-high", "rf-parity-link", "btarget", "ctl-flag",
+                 "hang", "rf-read-first", "op-bus", "unknown"):
         assert rule in probed, rule
