@@ -414,11 +414,33 @@ def cmd_report(args):
     return 0
 
 
+def _report_summary(duration, summary):
+    """Print one duration's quadrants and checker attribution; returns
+    its entry of the ``--json`` summaries."""
+    from repro.eval.detectors import format_attribution
+
+    fractions = summary.fractions()
+    print("[%s] %d experiments" % (duration, summary.total))
+    print("  silent %.2f%% | unmasked+detected %.2f%% | "
+          "masked+undetected %.2f%% | DME %.2f%%" % (
+              100 * fractions["unmasked_undetected"],
+              100 * fractions["unmasked_detected"],
+              100 * fractions["masked_undetected"],
+              100 * fractions["masked_detected"]))
+    print("  " + format_attribution(summary).replace("\n", "\n  "))
+    return {
+        "experiments": summary.total,
+        "fractions": fractions,
+        "checker_counts": summary.checker_counts,
+        "unmasked_coverage": summary.unmasked_coverage,
+        "masked_detection_rate": summary.masked_detection_rate,
+    }
+
+
 def cmd_campaign(args):
     """First-class campaign runner: parallel, journaled, resumable."""
     import json
 
-    from repro.eval.detectors import format_attribution
     from repro.faults.campaign import Campaign
     from repro.faults.model import PERMANENT, TRANSIENT
     from repro.runner.telemetry import (JsonlTelemetry, NullTelemetry,
@@ -453,22 +475,7 @@ def cmd_campaign(args):
             workers=args.workers, journal=args.journal, resume=args.resume,
             telemetry=telemetry, keep_results=args.audit,
             timeout=args.timeout)
-        fractions = summary.fractions()
-        print("[%s] %d experiments" % (duration, summary.total))
-        print("  silent %.2f%% | unmasked+detected %.2f%% | "
-              "masked+undetected %.2f%% | DME %.2f%%" % (
-                  100 * fractions["unmasked_undetected"],
-                  100 * fractions["unmasked_detected"],
-                  100 * fractions["masked_undetected"],
-                  100 * fractions["masked_detected"]))
-        print("  " + format_attribution(summary).replace("\n", "\n  "))
-        dump[duration] = {
-            "experiments": summary.total,
-            "fractions": fractions,
-            "checker_counts": summary.checker_counts,
-            "unmasked_coverage": summary.unmasked_coverage,
-            "masked_detection_rate": summary.masked_detection_rate,
-        }
+        dump[duration] = _report_summary(duration, summary)
         if args.audit:
             found = differential_audit(summary.results, coverage_map)
             defects.extend(found)
@@ -672,7 +679,6 @@ def cmd_fabric_submit(args):
     """Shard one campaign across the fleet named by the topology file."""
     import json
 
-    from repro.eval.detectors import format_attribution
     from repro.fabric import FabricCoordinator, FabricError, Topology
 
     topology = Topology.load(args.topology)
@@ -699,22 +705,7 @@ def cmd_fabric_submit(args):
         return 2
     dump = {}
     for duration, summary in summaries.items():
-        fractions = summary.fractions()
-        print("[%s] %d experiments" % (duration, summary.total))
-        print("  silent %.2f%% | unmasked+detected %.2f%% | "
-              "masked+undetected %.2f%% | DME %.2f%%" % (
-                  100 * fractions["unmasked_undetected"],
-                  100 * fractions["unmasked_detected"],
-                  100 * fractions["masked_undetected"],
-                  100 * fractions["masked_detected"]))
-        print("  " + format_attribution(summary).replace("\n", "\n  "))
-        dump[duration] = {
-            "experiments": summary.total,
-            "fractions": fractions,
-            "checker_counts": summary.checker_counts,
-            "unmasked_coverage": summary.unmasked_coverage,
-            "masked_detection_rate": summary.masked_detection_rate,
-        }
+        dump[duration] = _report_summary(duration, summary)
     status = coordinator.status()
     print("fabric: %d batches | dispatched %d | stolen %d | reassigned %d"
           % (status["batches"], status["dispatched"], status["stolen"],

@@ -39,14 +39,17 @@ intermittent faults all take this path.
 The per-instruction fetch/decode/issue work of the golden stream is thus
 paid once per *batch* (the sweep) instead of once per experiment.  The
 engine is the campaign's fast path
-(:class:`repro.faults.campaign.Campaign` builds it, with the timeline,
-on the first batch); ``Campaign(use_checkpoints=False)`` is the cold
+(:class:`repro.faults.campaign.Campaign` builds it from itself, with the
+timeline, on the first batch or before a process pool starts);
+``Campaign(use_checkpoints=False)`` is the cold
 scalar reference it is checked against, lane by lane and rule by rule,
 in ``tests/test_batched.py`` and ``tests/test_timeline_oracle.py``:
 materializing at the injection step is always exact, only slower.
 """
 
-from repro.cpu.checkedcore import CheckedCore, _identity_tap
+from collections import namedtuple
+
+from repro.cpu.checkedcore import CheckedCore
 from repro.faults.checkpoint import capture
 from repro.faults.execution import detection_loop, masking_loop
 from repro.faults.injector import SignalInjector
@@ -56,47 +59,28 @@ from repro.faults.model import FaultSchedule, INTERMITTENT, PERMANENT, TRANSIENT
 DURATIONS = (TRANSIENT, PERMANENT, INTERMITTENT)
 
 
-class _Lane:
-    """One evicted experiment phase awaiting materialization."""
-
-    __slots__ = ("item", "detect", "spec", "duration", "inject_at",
-                 "mat_step", "seq")
-
-    def __init__(self, item, detect, spec, duration, inject_at, mat_step,
-                 seq):
-        self.item = item
-        self.detect = detect
-        self.spec = spec
-        self.duration = duration
-        self.inject_at = inject_at
-        self.mat_step = mat_step
-        self.seq = seq
+#: One evicted experiment phase awaiting materialization.
+_Lane = namedtuple("_Lane", "item detect spec duration inject_at mat_step")
 
 
 class BatchedEngine:
-    """Batch executor over one workload's golden stream (see module doc).
+    """Batch executor over one campaign's golden stream (see module doc).
 
-    Built once per campaign (or pool worker) from the golden trace and
-    its :class:`~repro.faults.timeline.MaskingTimeline`; each
-    :meth:`run_batch` call classifies a batch of experiment phases.
+    Built once per campaign from the campaign's prepared golden state:
+    trace, final state, checkpoint store and
+    :class:`~repro.faults.timeline.MaskingTimeline`.  Lane cores come
+    from :meth:`Campaign._new_core <repro.faults.campaign.Campaign._new_core>`
+    and each :meth:`run_batch` call counts its work into
+    ``campaign.perf``.
     """
 
-    def __init__(self, embedded, golden, golden_final, checkpoints,
-                 run_slack, timeline):
-        self.embedded = embedded
-        self.golden = golden
-        self.golden_final = golden_final
-        self.checkpoints = checkpoints
-        self.timeline = timeline
-        self.limit = int(len(golden) * run_slack) + 64
-        self.counters = {
-            "batches": 0,
-            "lanes": 0,
-            "synthesized_lanes": 0,
-            "evicted_lanes": 0,
-            "sweep_instructions": 0,
-            "lane_instructions": 0,
-        }
+    def __init__(self, campaign):
+        self.campaign = campaign
+        self.golden = campaign.golden_trace()
+        self.golden_final = campaign._golden_final
+        self.checkpoints = campaign.checkpoints()
+        self.timeline = campaign.timeline()
+        self.limit = int(len(self.golden) * campaign.run_slack) + 64
         self._sweep = None
         self._pool = {False: [], True: []}
 
@@ -105,7 +89,8 @@ class BatchedEngine:
         """The live golden core, rewound/rebuilt if it overshot."""
         core = self._sweep
         if core is None or core.halted or core.instret > first_stop:
-            core = self._sweep = CheckedCore(self.embedded, detect=True)
+            core = self._sweep = CheckedCore(self.campaign.embedded,
+                                             detect=True)
         return core
 
     def _advance(self, core, target):
@@ -119,30 +104,23 @@ class BatchedEngine:
         while core.instret < target:
             core.step()
             steps += 1
-        self.counters["sweep_instructions"] += steps
+        self.campaign.perf["sweep_instructions"] += steps
 
     # -- lane execution --------------------------------------------------
     def _acquire_core(self, spec, detect):
-        """A pooled CheckedCore with this fault's injector installed.
+        """A lane core with this fault's injector installed: a recycled
+        one, or a new one from the campaign's core factory.
 
         Restoring a snapshot rewrites every piece of mutable state, so a
-        recycled core only needs its tap closure swapped (the checkers
-        share the core's tap).
+        recycled core only needs its injector swapped.
         """
-        injector = None if spec.is_state else SignalInjector(spec)
         pool = self._pool[detect]
-        if pool:
-            core = pool.pop()
-            tap = injector.tap if injector is not None else _identity_tap
-            core.injector = injector
-            core._tap = tap
-            core.adder._tap = tap
-            core.rsse._tap = tap
-            core.modulo._tap = tap
-            core.cfc._tap = tap
-            return core, injector
-        return CheckedCore(self.embedded, injector=injector,
-                           detect=detect), injector
+        if not pool:
+            return self.campaign._new_core(spec, detect)
+        core = pool.pop()
+        injector = None if spec.is_state else SignalInjector(spec)
+        core.set_injector(injector)
+        return core, injector
 
     def _run_lane(self, lane, snapshot, bases):
         """Materialize one lane from the sweep capture and run it to its
@@ -175,7 +153,7 @@ class BatchedEngine:
                                    self.golden_final, self.limit,
                                    lane.mat_step, store=self.checkpoints,
                                    reconverge=reconverge)
-        self.counters["lane_instructions"] += core.instret - lane.mat_step
+        self.campaign.perf["lane_instructions"] += core.instret - lane.mat_step
         self._pool[detect].append(core)
         return outcome
 
@@ -197,8 +175,8 @@ class BatchedEngine:
         checkpoints the engine is built on, masking lanes run with every
         checker gated off, and detection lanes catch their alarm.
         """
-        counters = self.counters
-        counters["batches"] += 1
+        perf = self.campaign.perf
+        perf["batches"] += 1
         masking_out = [None] * len(items)
         detection_out = [None] * len(items)
         lanes = []
@@ -209,19 +187,19 @@ class BatchedEngine:
             masking, detection = verdict.outcomes()
             if masking is None:
                 lanes.append(_Lane(i, False, spec, duration, inject_at,
-                                   verdict.start, len(lanes)))
+                                   verdict.start))
             if detection is None:
                 lanes.append(_Lane(i, True, spec, duration, inject_at,
-                                   verdict.start, len(lanes)))
+                                   verdict.start))
             masking_out[i] = masking
             detection_out[i] = detection
-        counters["lanes"] += 2 * len(items)
-        counters["synthesized_lanes"] += 2 * len(items) - len(lanes)
+        perf["lanes"] += 2 * len(items)
+        perf["synthesized_lanes"] += 2 * len(items) - len(lanes)
         if not lanes:
             return list(zip(masking_out, detection_out))
 
-        counters["evicted_lanes"] += len(lanes)
-        lanes.sort(key=lambda lane: (lane.mat_step, lane.seq))
+        perf["evicted_lanes"] += len(lanes)
+        lanes.sort(key=lambda lane: lane.mat_step)  # stable: queue order
         # Detection lanes materialized past their injection step need the
         # golden cycle/block counters *at* the injection step for
         # bit-identical latency bases; those are free probe stops on the

@@ -27,6 +27,7 @@ checker catches which fault class, so it mirrors the paper's design:
   pipeline liveness.
 """
 
+import weakref
 from dataclasses import dataclass
 
 from repro.argus.checkers import AdderChecker, ModuloChecker, RsseChecker
@@ -58,6 +59,36 @@ LINK = registers.LINK_REG
 
 def _identity_tap(name, value, index=None):
     return value
+
+
+#: program -> (its words, its data image, the preloaded dmem snapshot).
+_DMEM_IMAGES = weakref.WeakKeyDictionary()
+
+
+def _dmem_image(program):
+    """Initial EDC-protected state (Appendix A base case): the loader
+    writes text and data into the protected memory with good parity.
+
+    A :meth:`CheckedMemory.snapshot`, built once per binary and shared
+    copy-on-write by every core over it; rebuilt once the program's
+    words or data image differ from those it was built from.
+    """
+    cached = _DMEM_IMAGES.get(program)
+    if (cached is not None and cached[0] == program.words
+            and cached[1] == program.data):
+        return cached[2]
+    dmem = CheckedMemory()
+    for index, word in enumerate(program.words):
+        dmem.store_word(program.text_base + 4 * index, word)
+    data = bytes(program.data)
+    padded = data + b"\0" * (-len(data) % 4)
+    for off in range(0, len(padded), 4):
+        value = int.from_bytes(padded[off:off + 4], "little")
+        if value:
+            dmem.store_word(program.data_base + off, value)
+    image = dmem.snapshot()
+    _DMEM_IMAGES[program] = (list(program.words), data, image)
+    return image
 
 
 @dataclass
@@ -96,9 +127,8 @@ class CheckedCore:
         self.mem = MemorySystem(mem_config or MemoryConfig.paper(ways=1))
         program.load_into(self.mem.memory)
         self.dmem = CheckedMemory()
-        self._preload_dmem(program)
+        self.dmem.restore(_dmem_image(program))
         self.timing = timing or Timing()
-        self.injector = injector
         self.detect = detect
         enabled = set(self.CHECKER_CATEGORIES if checkers is None else checkers)
         unknown = enabled - set(self.CHECKER_CATEGORIES)
@@ -110,16 +140,16 @@ class CheckedCore:
         self._chk_dcs = detect and "dcs" in enabled
         self._chk_mem = detect and "memory" in enabled
         self._chk_watchdog = detect and "watchdog" in enabled
-        self._tap = injector.tap if injector is not None else _identity_tap
 
         self.rf = CheckedRegisterFile()
         self.shs = ShsFile()
-        self.adder = AdderChecker(tap=self._tap)
-        self.rsse = RsseChecker(tap=self._tap)
-        self.modulo = ModuloChecker(tap=self._tap)
-        self.cfc = ControlFlowChecker(embedded.entry_dcs, tap=self._tap)
+        self.adder = AdderChecker()
+        self.rsse = RsseChecker()
+        self.modulo = ModuloChecker()
+        self.cfc = ControlFlowChecker(embedded.entry_dcs)
         self.collector = PayloadCollector()
         self.watchdog = Watchdog()
+        self.set_injector(injector)
 
         self.pc = program.entry
         self.flag = 0  # architectural compare flag (SR[F])
@@ -133,25 +163,19 @@ class CheckedCore:
         self._delayed_target = 0
         self._pending_term = None  # (kind, taken_chk, indirect_dcs)
 
-    def _preload_dmem(self, program):
-        """Initial EDC-protected state (Appendix A base case): the loader
-        writes text and data into the protected memory with good parity."""
-        addr = program.text_base
-        for word in program.words:
-            self.dmem.store_word(addr, word)
-            addr += 4
-        data = program.data
-        base = program.data_base
-        full = len(data) & ~3
-        for off in range(0, full, 4):
-            value = int.from_bytes(data[off:off + 4], "little")
-            if value:
-                self.dmem.store_word(base + off, value)
-        if full < len(data):
-            tail = bytes(data[full:]) + b"\0" * (4 - (len(data) - full))
-            value = int.from_bytes(tail, "little")
-            if value:
-                self.dmem.store_word(base + full, value)
+    def set_injector(self, injector):
+        """Install ``injector`` (None: no fault) as the core's signal tap.
+
+        The core and its four checkers evaluate signals through one tap,
+        so a recycled core swaps its fault here and only here.
+        """
+        tap = injector.tap if injector is not None else _identity_tap
+        self.injector = injector
+        self._tap = tap
+        self.adder._tap = tap
+        self.rsse._tap = tap
+        self.modulo._tap = tap
+        self.cfc._tap = tap
 
     # Shared process-wide decode memo; undecodable words execute as NOPs
     # and the DCS sees the omission.

@@ -209,9 +209,17 @@ class Campaign:
         self.points = build_point_population(include_double_bits=include_double_bits)
         self.run_slack = run_slack
         self.use_checkpoints = use_checkpoints
-        # Wall-clock/throughput accounting, exposed through telemetry and
-        # ``campaign --json``; the engine's counters are folded in as the
-        # batches run (pool workers ship per-batch deltas of this dict).
+        self.reset_perf()
+        self._timeline = None
+        self._golden = None
+        self._golden_final = None
+        self._checkpoints = None
+        self._engine = None
+
+    def reset_perf(self):
+        """Zero the wall-clock/throughput accounting that telemetry and
+        ``campaign --json`` report.  The engine counts into it as the
+        batches run, and pool workers ship per-batch deltas of it."""
         self.perf = {
             "experiments": 0,
             "elapsed": 0.0,
@@ -223,11 +231,14 @@ class Campaign:
             "lane_instructions": 0,
             "pool_retries": 0,  # pool passes re-run after a crash or hang
         }
-        self._timeline = None
-        self._golden = None
-        self._golden_final = None
-        self._checkpoints = None
-        self._engine = None
+
+    def __getstate__(self):
+        """Pickle the prepared golden state without the engine, whose
+        sweep core and core pools belong to one process; a spawned pool
+        worker builds its own from the rest."""
+        state = self.__dict__.copy()
+        state["_engine"] = None
+        return state
 
     # -- golden reference --------------------------------------------------
     def golden_trace(self):
@@ -290,6 +301,10 @@ class Campaign:
 
     # -- scalar phases -------------------------------------------------------
     def _new_core(self, spec, detect):
+        """A fresh ``(core, injector)`` for one run of ``spec``, on both
+        paths.  The engine recycles a core for later faults of the same
+        ``detect``, swapping only the injector, so an override may vary
+        the core with ``detect`` but not with ``spec``."""
         injector = None if spec.is_state else SignalInjector(spec)
         core = CheckedCore(self.embedded, injector=injector, detect=detect)
         return core, injector
@@ -362,7 +377,9 @@ class Campaign:
     # -- the engine ----------------------------------------------------------
     def _engine_or_none(self):
         """The lazily built :class:`~repro.cpu.batched.BatchedEngine`,
-        or None on the reference path.
+        or None on the reference path.  Either way the call *prepares*
+        the campaign: the golden run and its checkpoints, plus the
+        timeline on the fast path.
 
         The engine leans on the golden checkpoint store (sweep jumps,
         reconvergence views), on the golden checkers-on run being
@@ -377,9 +394,7 @@ class Campaign:
             self.golden_trace()
             if self._checkpoints is None:
                 return None
-            self._engine = repro.cpu.batched.BatchedEngine(
-                self.embedded, self._golden, self._golden_final,
-                self._checkpoints, self.run_slack, self.timeline())
+            self._engine = repro.cpu.batched.BatchedEngine(self)
         return self._engine
 
     def _run_entries(self, entries):
@@ -391,13 +406,9 @@ class Campaign:
         if engine is None:
             results = [self._execute(*entry) for entry in entries]
         else:
-            counters_before = dict(engine.counters)
-            outcomes = engine.run_batch(entries)
-            for key, value in engine.counters.items():
-                self.perf[key] += value - counters_before[key]
             results = [self._assemble(*entry, masking, detection)
                        for entry, (masking, detection)
-                       in zip(entries, outcomes)]
+                       in zip(entries, engine.run_batch(entries))]
         self.perf["experiments"] += len(entries)
         self.perf["elapsed"] += time.perf_counter() - start
         return results

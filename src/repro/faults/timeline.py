@@ -561,20 +561,24 @@ def _h_state_flag(tl, spec, duration, t, double_bit):
         # first, or nothing reads it): silent corruption.
         if duration == PERMANENT and compare is not None:
             return _unknown(t)
-        return TimelineVerdict(False, False, start=t, rule="flag-silent")
+        return TimelineVerdict(False, False, start=t, rule="flag-silent",
+                               activated_at=t)
     if compare is not None and compare < branch:
         if duration == PERMANENT:
             return _unknown(t)
-        return TimelineVerdict(False, False, start=t, rule="flag-silent")
+        return TimelineVerdict(False, False, start=t, rule="flag-silent",
+                               activated_at=t)
     # A conditional branch consumes the corrupted flag first: control
     # may diverge and DCS detection is aliasing-dependent.
-    return TimelineVerdict(False, None, start=t, rule="flag-branch")
+    return TimelineVerdict(False, None, start=t, rule="flag-branch",
+                           activated_at=t)
 
 
 def _h_state_pc(tl, spec, duration, t, double_bit):
     # The retire record's pc field is the architectural latch: the flip
     # shows at step t itself.  Where the wrong stream goes is wild.
-    return TimelineVerdict(False, None, start=t, rule="state-pc")
+    return TimelineVerdict(False, None, start=t, rule="state-pc",
+                           activated_at=t)
 
 
 def _h_ctl_btarget(tl, spec, duration, t, double_bit):

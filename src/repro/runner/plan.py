@@ -72,14 +72,6 @@ class CampaignPlan:
                 spec.is_state, exp.seed)).encode("utf-8"))
         return digest.hexdigest()[:16]
 
-    def shard(self, shards):
-        """Round-robin split into ``shards`` sub-lists (never empty)."""
-        shards = max(1, int(shards))
-        buckets = [[] for _ in range(shards)]
-        for exp in self.experiments:
-            buckets[exp.index % shards].append(exp)
-        return [bucket for bucket in buckets if bucket]
-
     def slice(self, start, stop):
         """A sub-plan covering plan indices ``[start, stop)``.
 

@@ -1,10 +1,13 @@
 """Process-pool campaign execution with retry and serial fallback.
 
-Worker processes each build their own :class:`~repro.faults.campaign.Campaign`
-once (golden trace included) via the pool initializer, then execute
-batches of :class:`~repro.runner.plan.PlannedExperiment` and ship back
-JSON-ready result records - the same records the journal stores, so the
-serial and parallel paths share one serialization.
+The calling process prepares its :class:`~repro.faults.campaign.Campaign`
+once - golden run, checkpoints and, on the fast path, timeline - and
+every worker of every pool inherits that campaign through the pool
+initializer: without a copy under fork, pickled (engine dropped) under
+spawn or forkserver.  Workers execute batches of
+:class:`~repro.runner.plan.PlannedExperiment` and ship back JSON-ready
+result records - the same records the journal stores, so the serial and
+parallel paths share one serialization.
 
 Failure handling is layered:
 
@@ -38,27 +41,10 @@ _TIMEOUT_GRACE = 30.0
 _WORKER_CAMPAIGN = None
 
 
-def _campaign_config(campaign):
-    """The constructor arguments a worker needs to mirror ``campaign``.
-
-    Each worker builds its golden checkpoint set exactly once in the pool
-    initializer, and every batch it runs goes through its own engine (or,
-    on the reference path, replays cold).
-    """
-    return (campaign.embedded, campaign.run_slack, campaign.use_checkpoints)
-
-
-def _init_worker(config):
-    """Build this worker's private campaign (golden trace + checkpoint
-    set precomputed)."""
+def _init_worker(campaign):
+    """Install the caller's prepared campaign in this worker."""
     global _WORKER_CAMPAIGN
-    from repro.faults.campaign import Campaign
-
-    embedded, run_slack, use_checkpoints = config
-    _WORKER_CAMPAIGN = Campaign(
-        embedded=embedded, run_slack=run_slack,
-        use_checkpoints=use_checkpoints)
-    _WORKER_CAMPAIGN.golden_trace()
+    _WORKER_CAMPAIGN = campaign
 
 
 def _run_batch(batch):
@@ -110,16 +96,11 @@ def _make_batches(pending, workers):
     return [pending[i:i + size] for i in range(0, len(pending), size)]
 
 
-def merge_perf(campaign, delta):
-    """Fold a worker batch's perf-counter delta into ``campaign.perf``."""
-    for key, value in delta.items():
-        campaign.perf[key] = campaign.perf.get(key, 0) + value
-
-
-def _pool_pass(config, pending, workers, commit, timeout, on_perf=None):
+def _pool_pass(campaign, pending, workers, commit, timeout):
     """One attempt at draining ``pending`` through a fresh process pool.
 
-    Commits whatever completes; experiments still uncommitted afterwards
+    Commits whatever completes, folding each batch's perf-counter delta
+    into ``campaign.perf``; experiments still uncommitted afterwards
     (crash, hang, worker exception) are the caller's to retry.
     """
     batches = _make_batches(pending, workers)
@@ -129,7 +110,7 @@ def _pool_pass(config, pending, workers, commit, timeout, on_perf=None):
     try:
         executor = ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker,
-            initargs=(config,))
+            initargs=(campaign,))
     except (OSError, ValueError, PermissionError):
         return  # environment cannot spawn processes; caller falls back
     not_done = set()
@@ -147,8 +128,8 @@ def _pool_pass(config, pending, workers, commit, timeout, on_perf=None):
                     return  # a worker crashed; retry the rest elsewhere
                 except Exception:
                     continue  # a deterministic error; serial fallback re-raises
-                if on_perf is not None and results["perf"]:
-                    on_perf(results["perf"])
+                for key, value in results["perf"].items():
+                    campaign.perf[key] += value
                 for experiment_id, record in results["pairs"]:
                     commit(experiment_id, record)
     finally:
@@ -170,9 +151,11 @@ def _run_serial(campaign, pending, commit):
 def _run_parallel(campaign, pending, workers, commit, timeout, retries):
     """Drain ``pending`` with retries, then serially for any stragglers.
 
-    Every pool pass after the first counts in
+    The campaign is prepared here, once, so no worker repeats its golden
+    run.  Every pool pass after the first counts in
     ``campaign.perf["pool_retries"]``.
     """
+    campaign._engine_or_none()
     remaining = {exp.experiment_id: exp for exp in pending}
 
     def commit_and_pop(experiment_id, record):
@@ -184,9 +167,8 @@ def _run_parallel(campaign, pending, workers, commit, timeout, retries):
             return
         if attempt:
             campaign.perf["pool_retries"] += 1
-        _pool_pass(_campaign_config(campaign), list(remaining.values()),
-                   workers, commit_and_pop, timeout,
-                   on_perf=lambda delta: merge_perf(campaign, delta))
+        _pool_pass(campaign, list(remaining.values()), workers,
+                   commit_and_pop, timeout)
     _run_serial(campaign, list(remaining.values()), commit_and_pop)
 
 

@@ -479,6 +479,7 @@ class JobScheduler:
 
     # -- execution -----------------------------------------------------------
     def _run_loop(self):
+        last = None  # this thread's previous (campaign key, campaign)
         while not self._stop.is_set():
             if self._draining.is_set():
                 return
@@ -493,7 +494,7 @@ class JobScheduler:
             with self._lock:
                 self._active_jobs += 1
             try:
-                self._run_job(job)
+                last = self._run_job(job, last)
             except _DrainInterrupt:
                 # Mid-job drain: metadata stays non-terminal, the journal
                 # holds every finished experiment; restart re-enqueues it.
@@ -501,6 +502,7 @@ class JobScheduler:
                     self._persist(job)
                 return
             except Exception as exc:  # noqa: BLE001 - job isolation boundary
+                last = None
                 with self._lock:
                     job.state = FAILED
                     job.error = "%s: %s" % (type(exc).__name__, exc)
@@ -511,12 +513,25 @@ class JobScheduler:
                     self._active_jobs -= 1
                     self._busy_seconds += time.monotonic() - began
 
-    def _run_job(self, job):
+    def _run_job(self, job, last):
+        """Run ``job``; returns the ``(key, campaign)`` its runner thread
+        keeps.  ``last`` is the pair kept from the thread's previous job:
+        its prepared campaign serves this job too, counters zeroed, when
+        the binary and run settings match.  The seed is not in the key,
+        as each job is planned with its own; threads never share a
+        campaign, as its engine is not thread-safe."""
         with self._lock:
             job.state = RUNNING
             job.started = job.started or time.time()
             self._persist(job)
-        campaign = job.spec.build_campaign()
+        spec = job.spec
+        key = (spec.workload, spec.source, spec.run_slack,
+               spec.include_double_bits, spec.use_checkpoints)
+        if last is not None and last[0] == key:
+            campaign = last[1]
+            campaign.reset_perf()
+        else:
+            campaign = spec.build_campaign()
         digest = binary_digest(campaign.embedded)
         sink = JsonlTelemetry(self.events_path(job.job_id))
         journal = Journal(self.journal_path(job.job_id)).load()
@@ -552,6 +567,7 @@ class JobScheduler:
             sink.close()
             with self._lock:
                 self._batches_retried += campaign.perf["pool_retries"]
+        return key, campaign
 
     def _run_plan(self, job, campaign, digest, plan, journal, sink):
         """One duration of one job: cache, then ``execute_plan`` for

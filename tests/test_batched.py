@@ -24,11 +24,14 @@ experiment cold from instruction 0.  These tests pin that the two write
 """
 
 import bisect
+import pickle
 
 import pytest
 
+from repro.cpu import CheckedCore
 from repro.cpu.batched import BatchedEngine
 from repro.faults.campaign import Campaign
+from repro.faults.injector import SignalInjector
 from repro.faults.model import INTERMITTENT, PERMANENT, TRANSIENT, FaultSpec
 from repro.faults.stress import build_stress_program
 from repro.runner.journal import result_to_record
@@ -248,6 +251,57 @@ def test_execute_plan_batched_matches_scalar():
     assert _records(got.results) == _records(want.results)
     assert engine.perf["experiments"] == 32
     assert engine.perf["batches"] == 1
+
+
+# -- the campaign owns the engine's inputs ---------------------------------
+
+class _NoParityCampaign(Campaign):
+    """A campaign whose cores run every checker but parity (one row of
+    the Sec. 4.1.1 composition ablation)."""
+
+    def _new_core(self, spec, detect):
+        injector = None if spec.is_state else SignalInjector(spec)
+        checkers = [category for category in CheckedCore.CHECKER_CATEGORIES
+                    if category != "parity"]
+        core = CheckedCore(self.embedded, injector=injector, detect=detect,
+                           checkers=checkers)
+        return core, injector
+
+
+def test_engine_lanes_use_the_campaigns_cores():
+    """Lane cores come from ``Campaign._new_core``: an ablated subclass
+    classifies on the engine, serially and on two workers, exactly as on
+    its own reference path, and nothing is a parity detection."""
+    embedded = _embedded("stress")
+    plan = plan_campaign(Campaign(embedded=embedded).points, 48, PERMANENT,
+                         seed=9)
+    full = execute_plan(Campaign(embedded=embedded, seed=9), plan)
+    assert any(result.checker == "parity" for result in full.results)
+    want = _records(execute_plan(
+        _NoParityCampaign(embedded=embedded, seed=9, use_checkpoints=False),
+        plan).results)
+    assert all(record["checker"] != "parity" for record in want)
+    assert want != _records(full.results)
+    for workers in (1, 2):
+        got = execute_plan(_NoParityCampaign(embedded=embedded, seed=9),
+                           plan, workers=workers)
+        assert _records(got.results) == want, workers
+
+
+def test_prepared_campaign_survives_pickling():
+    """What a spawned pool worker receives: a prepared campaign, golden
+    state and timeline included, engine dropped, classifies a plan
+    exactly as the original."""
+    campaign = Campaign(embedded=_embedded("stress"), seed=4)
+    assert isinstance(campaign._engine_or_none(), BatchedEngine)
+    clone = pickle.loads(pickle.dumps(campaign))
+    assert clone._engine is None
+    assert clone._timeline is not None
+    assert clone.golden_trace() == campaign.golden_trace()
+    assert len(clone.checkpoints()) == len(campaign.checkpoints())
+    plan = plan_campaign(campaign.points, 40, TRANSIENT, seed=4)
+    assert (_records(clone.run_planned_batch(plan.experiments))
+            == _records(campaign.run_planned_batch(plan.experiments)))
 
 
 # -- routing ---------------------------------------------------------------

@@ -7,12 +7,15 @@ order, and any journal-resume split.  These tests pin that contract.
 """
 
 import json
+import os
 
 import pytest
 
+from repro.faults import campaign as campaign_mod
 from repro.faults.campaign import Campaign
 from repro.faults.model import PERMANENT, TRANSIENT
-from repro.runner import Journal, JournalError, plan_campaign
+from repro.runner import Journal, JournalError, execute_plan, plan_campaign
+from repro.runner.journal import result_to_record
 from repro.runner import pool as pool_mod
 from repro.runner.telemetry import EVENT_EXPERIMENT, CallbackTelemetry
 from repro.toolchain import embed_program
@@ -84,6 +87,30 @@ class TestDeterminism:
         fallback = Campaign(embedded=embed_program(SMALL), seed=11).run(
             experiments=EXPERIMENTS, duration=TRANSIENT, workers=4, retries=1)
         assert _signature(baseline) == _signature(fallback)
+
+
+class TestPreparedCampaign:
+    def test_workers_inherit_the_callers_golden_run(self, tmp_path,
+                                                    monkeypatch):
+        """The golden run happens once, in the calling process; pool
+        workers inherit the prepared campaign instead of replaying it."""
+        log = tmp_path / "golden-pids"
+        record_checkpoints = campaign_mod.record_checkpoints
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write("%d\n" % os.getpid())
+            return record_checkpoints(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "record_checkpoints", logged)
+        campaign = Campaign(embedded=embed_program(SMALL), seed=11)
+        plan = plan_campaign(campaign.points, EXPERIMENTS, PERMANENT, seed=11)
+        parallel = execute_plan(campaign, plan, workers=2)
+        assert log.read_text().split() == [str(os.getpid())]
+        serial = execute_plan(Campaign(embedded=embed_program(SMALL),
+                                       seed=11), plan, workers=1)
+        assert ([result_to_record(r) for r in parallel.results]
+                == [result_to_record(r) for r in serial.results])
 
 
 class TestJournalResume:

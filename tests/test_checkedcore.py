@@ -15,7 +15,9 @@ from repro.cpu import CheckedCore, FastCore
 from repro.faults.injector import SignalInjector
 from repro.faults.model import FaultSpec
 from repro.isa import registers
+from repro.mem.checked import CheckedMemory
 from repro.toolchain import embed_program
+from repro.workloads import WORKLOADS
 
 LOOP = """
 start:  li   r1, 4
@@ -309,3 +311,67 @@ class TestCheckerSubsets:
         for subset in (["parity"], ["dcs"], ["computation", "memory"]):
             core = CheckedCore(embed_program(LOOP), checkers=subset)
             assert core.run().halted
+
+
+def _preload_word_by_word(program):
+    """The per-word loader loop every core ran before the preloaded
+    image was shared, kept as its specification."""
+    dmem = CheckedMemory()
+    addr = program.text_base
+    for word in program.words:
+        dmem.store_word(addr, word)
+        addr += 4
+    data = program.data
+    base = program.data_base
+    full = len(data) & ~3
+    for off in range(0, full, 4):
+        value = int.from_bytes(data[off:off + 4], "little")
+        if value:
+            dmem.store_word(base + off, value)
+    if full < len(data):
+        tail = bytes(data[full:]) + b"\0" * (4 - (len(data) - full))
+        value = int.from_bytes(tail, "little")
+        if value:
+            dmem.store_word(base + full, value)
+    return dmem
+
+
+class TestPreloadedMemory:
+    """Every core over a binary starts from one shared, copy-on-write
+    image of its protected memory."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_image_matches_word_loop(self, name):
+        embedded = WORKLOADS[name].build_embedded()
+        core = CheckedCore(embedded)
+        assert (CheckedMemory.flat_snapshot(core.dmem.snapshot())
+                == CheckedMemory.flat_snapshot(
+                    _preload_word_by_word(embedded.program).snapshot()))
+
+    def test_cores_do_not_see_each_others_writes(self):
+        embedded = embed_program(LOOP)
+        first, second = CheckedCore(embedded), CheckedCore(embedded)
+        buf = embedded.program.addr_of("buf")
+        text = embedded.program.text_base
+        first.dmem.store_word(buf, 0xDEADBEEF)
+        second.dmem.corrupt_stored_bit(text, 3)
+        assert first.load_word(buf) == 0xDEADBEEF
+        assert second.load_word(buf) == 0
+        assert first.dmem.load_word(text).ok
+        assert not second.dmem.load_word(text).ok
+        assert CheckedCore(embedded).run().halted
+
+    def test_later_image_changes_reach_new_cores(self):
+        embedded = embed_program(LOOP)
+        program = embedded.program
+        buf = program.addr_of("buf")
+        assert CheckedCore(embedded).load_word(buf) == 0
+        offset = buf - program.data_base
+        program.data[offset:offset + 4] = (77).to_bytes(4, "little")
+        assert CheckedCore(embedded).load_word(buf) == 77
+        program.set_word(program.text_base, program.words[0] ^ 1)
+        core = CheckedCore(embedded)
+        assert core.load_word(program.text_base) == program.words[0]
+        assert (CheckedMemory.flat_snapshot(core.dmem.snapshot())
+                == CheckedMemory.flat_snapshot(
+                    _preload_word_by_word(program).snapshot()))

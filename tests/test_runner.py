@@ -64,13 +64,6 @@ class TestPlan:
         assert plan.ids == sorted(plan.ids)
         assert len(plan) == 12
 
-    def test_shard_partitions_the_plan(self, plan):
-        shards = plan.shard(5)
-        flattened = sorted(
-            (exp.experiment_id for shard in shards for exp in shard))
-        assert flattened == plan.ids
-        assert all(shard for shard in shards)
-
 
 class TestRecords:
     def test_result_record_roundtrip(self):

@@ -18,9 +18,11 @@ import time
 
 import pytest
 
+from repro.faults import campaign as campaign_mod
 from repro.faults.campaign import Campaign
 from repro.faults.model import TRANSIENT
-from repro.runner import Journal, plan_campaign, result_to_record
+from repro.runner import (Journal, execute_plan, plan_campaign,
+                          result_to_record)
 from repro.runner import pool as pool_mod
 from repro.service import (CampaignSpec, Job, JobScheduler, ResultStore,
                            ServiceClient, ServiceError, ServiceServer,
@@ -383,6 +385,56 @@ class TestOnePath:
         assert attempts == [EXPERIMENTS]  # run once, never re-attempted
         assert runner_sleeps == []
         assert scheduler.metrics()["batches_retried"] == 0
+
+    def test_runner_thread_reuses_its_campaign_per_binary(self, tmp_path,
+                                                          monkeypatch):
+        """Consecutive jobs on one binary share one campaign and one
+        golden run whatever their seeds; another binary builds its own.
+        Every journal equals a direct run, and a reused campaign's
+        counters restart at zero for each job."""
+        builds = []
+        goldens = []
+        build_campaign = CampaignSpec.build_campaign
+        record_checkpoints = campaign_mod.record_checkpoints
+
+        def counted_build(spec):
+            builds.append(spec.seed)
+            return build_campaign(spec)
+
+        def counted_golden(*args, **kwargs):
+            goldens.append(1)
+            return record_checkpoints(*args, **kwargs)
+
+        monkeypatch.setattr(CampaignSpec, "build_campaign", counted_build)
+        monkeypatch.setattr(campaign_mod, "record_checkpoints",
+                            counted_golden)
+        scheduler = JobScheduler(ResultStore(":memory:"), str(tmp_path),
+                                 workers=1).start()
+        specs = [small_spec(seed=3), small_spec(seed=4),
+                 {"workload": "stress", "experiments": EXPERIMENTS,
+                  "duration": "transient", "seed": 4}]
+        jobs = [scheduler.submit(spec) for spec in specs]
+        deadline = time.monotonic() + 120
+        while (not all(job.terminal for job in jobs)
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        scheduler.shutdown(wait=True, timeout=10)
+        assert [job.state for job in jobs] == ["done"] * 3
+        assert builds == [3, 4]
+        assert len(goldens) == 2
+        for job in jobs:
+            spec = job.spec
+            campaign = spec.build_campaign()
+            plan = plan_campaign(campaign.points, spec.experiments,
+                                 TRANSIENT, seed=spec.seed)
+            direct = execute_plan(campaign, plan, workers=1)
+            journal = Journal(scheduler.journal_path(job.job_id)).load()
+            assert journal.records == {
+                exp.experiment_id: result_to_record(result)
+                for exp, result in zip(plan.experiments, direct.results)}
+            with open(scheduler.events_path(job.job_id)) as handle:
+                events = [json.loads(line) for line in handle]
+            assert events[-1]["perf"]["experiments"] == EXPERIMENTS
 
 
 # -- drain + crash recovery --------------------------------------------------

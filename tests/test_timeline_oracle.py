@@ -60,23 +60,23 @@ SETTLING_RULES = (
     "decode-shs", "decode-shs/spare", "div-quotient",
     "div-quotient/drive-absent", "div-remainder",
     "div-remainder/drive-absent", "ex-flag", "ex-flag/drive-absent",
-    "fetch-word/spare", "flag-overwritten", "flag-silent", "hang",
-    "load-data", "load-data/drive-absent", "lsu-addr-high",
+    "fetch-word/spare", "flag-branch", "flag-overwritten", "flag-silent",
+    "hang", "load-data", "load-data/drive-absent", "lsu-addr-high",
     "lsu-addr/drive-absent", "lsu-mem-addr/drive-absent", "mul-low",
     "mul-upper", "mul/drive-absent", "op-bus/drive-absent", "parity-meta",
     "parity-meta/drive-absent", "rf-dead-window", "rf-parity-link",
     "rf-parity-read-first", "rf-parity-rewritten", "rf-parity-stuck",
     "rf-parity-unread", "rf-untouched", "rf-zero", "shs-file", "shs-tag",
-    "shs-tag/drive-absent", "store-data", "store-data/drive-absent",
-    "store-waddr", "store-waddr/drive-absent", "wb-port",
-    "wb-port/drive-absent",
+    "shs-tag/drive-absent", "state-pc", "store-data",
+    "store-data/drive-absent", "store-waddr", "store-waddr/drive-absent",
+    "wb-port", "wb-port/drive-absent",
 )
 
 #: Every timeline rule that settles no lane and only places the start
 #: of the simulated ones.
 START_RULES = (
-    "decode-chk", "decode-fu", "flag-branch", "lsu-addr", "lsu-mem-addr",
-    "op-bus", "rf-read-first", "state-pc", "unknown",
+    "decode-chk", "decode-fu", "lsu-addr", "lsu-mem-addr", "op-bus",
+    "rf-read-first", "unknown",
 )
 
 #: Probes run so far per (rule, duration), across the programs.
