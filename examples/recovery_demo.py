@@ -69,7 +69,7 @@ def run_transient_burst():
             core.step()
         except Exception:
             rollbacks += 1
-            recovering._checkpoint.restore(core)
+            recovering.rollback()
             continue
         recovering._maybe_checkpoint()
         steps += 1

@@ -64,7 +64,6 @@ from repro.argus.regfile import CheckedRegisterFile
 from repro.argus.controlflow import ControlFlowChecker
 from repro.argus.scrubber import Scrubber, scrub_latency_bound
 from repro.argus.recovery import (
-    Checkpoint,
     RecoveringCore,
     RecoveryResult,
     UnrecoverableError,
@@ -112,7 +111,6 @@ __all__ = [
     "ControlFlowChecker",
     "Scrubber",
     "scrub_latency_bound",
-    "Checkpoint",
     "RecoveringCore",
     "RecoveryResult",
     "UnrecoverableError",

@@ -256,10 +256,6 @@ class ModuloChecker:
         """
         return {bit: pow(2, bit, self.modulus) for bit in range(width)}
 
-    def detects_single_bit(self, bit):
-        """True when a single-bit error at ``bit`` shifts the residue."""
-        return pow(2, bit, self.modulus) != 0
-
     def aliasing_probability(self):
         """Escape probability for a uniformly random non-zero error: the
         fraction of deltas that are multiples of M, i.e. 1/M (the paper's

@@ -5,88 +5,28 @@ checkpoint recovery [27]: "Argus-1's error detection hardware does not
 cause any pipeline stalls or delay instruction retirement, because
 Argus-1 is designed to invoke backward error recovery once an error is
 detected."  This module supplies that companion mechanism:
+:class:`RecoveringCore` runs a
+:class:`~repro.cpu.checkedcore.CheckedCore`, checkpointing at basic-
+block boundaries (where Appendix B guarantees the state is error-free:
+a corrupt block would have failed its DCS comparison), and rolling back
+on any detection.  A transient error costs one rollback; an error that
+keeps recurring at the same point is diagnosed as permanent (the
+actionable signal the paper wants from detected permanent errors).
 
-* :class:`Checkpoint` - a full architectural + checker-state snapshot of
-  a :class:`~repro.cpu.checkedcore.CheckedCore`;
-* :class:`RecoveringCore` - runs a checked core, checkpointing at basic-
-  block boundaries (where Appendix B guarantees the state is error-free:
-  a corrupt block would have failed its DCS comparison), and rolling
-  back on any detection.  A transient error costs one rollback; an
-  error that keeps recurring at the same point is diagnosed as permanent
-  (the actionable signal the paper wants from detected permanent
-  errors).
-
-Protected memory is checkpointed as one
-:meth:`~repro.mem.checked.CheckedMemory.snapshot`, whose pages the core
-shares copy-on-write until it writes them, so a checkpoint costs O(pages).
-Cache *timing* state is deliberately not checkpointed - it affects only
-cycle counts, never correctness, exactly like a real machine whose cache
-contents survive a recovery with at most different hit/miss behaviour.
+A checkpoint is the core's own
+:class:`~repro.cpu.checkedcore.CoreSnapshot`, the format the fault
+campaign's golden checkpoints use too, so it costs O(pages): protected
+memory and the caches are shared copy-on-write until the core writes
+them.  A rollback restores all of it except what only measures the
+run: the cycle count, the caches' timing state and the control-flow
+checker's ``blocks_checked`` run on, exactly like a real machine whose
+cache contents survive a recovery with at most different hit/miss
+behaviour.
 """
 
 from dataclasses import dataclass, field
 
 from repro.argus.errors import ArgusError
-
-
-@dataclass
-class Checkpoint:
-    """Architectural + checker state at a verified block boundary."""
-
-    pc: int
-    flag: int
-    cfc_flag: int
-    regs: list
-    parity: list
-    shs: list
-    cfc_expected: object
-    dmem: tuple  # CheckedMemory.snapshot()
-    in_delay: bool
-    delayed_target: int
-    pending_term: object
-    collector_bits: list
-    instret: int
-    cycles: int
-    block_index: int
-
-    @classmethod
-    def capture(cls, core):
-        return cls(
-            pc=core.pc,
-            flag=core.flag,
-            cfc_flag=core.cfc_flag,
-            regs=list(core.rf.values),
-            parity=list(core.rf.parity),
-            shs=list(core.shs.values),
-            cfc_expected=core.cfc.expected,
-            dmem=core.dmem.snapshot(),
-            in_delay=core._in_delay,
-            delayed_target=core._delayed_target,
-            pending_term=core._pending_term,
-            collector_bits=list(core.collector._bits),
-            instret=core.instret,
-            cycles=core.cycles,
-            block_index=core.block_index,
-        )
-
-    def restore(self, core):
-        core.pc = self.pc
-        core.flag = self.flag
-        core.cfc_flag = self.cfc_flag
-        core.rf.values[:] = self.regs
-        core.rf.parity[:] = self.parity
-        core.shs.values[:] = self.shs
-        core.cfc.expected = self.cfc_expected
-        core.dmem.restore(self.dmem)
-        core._in_delay = self.in_delay
-        core._delayed_target = self.delayed_target
-        core._pending_term = self.pending_term
-        core.collector._bits = list(self.collector_bits)
-        core.instret = self.instret
-        core.block_index = self.block_index
-        core.watchdog.reset()
-        core.halted = False
-        core.hung = False
 
 
 class UnrecoverableError(Exception):
@@ -132,7 +72,7 @@ class RecoveringCore:
         self.rollbacks = 0
         self.checkpoints_taken = 0
         self.events = []
-        self._checkpoint = Checkpoint.capture(core)
+        self._checkpoint = core.snapshot()
         self._retries_here = 0
 
     def _maybe_checkpoint(self):
@@ -142,10 +82,25 @@ class RecoveringCore:
             # Block boundary: collector must hold only the current block's
             # prefix; simplest safe point is right after a block ended,
             # i.e. when the collector is empty.
-            if not core.collector._bits:
-                self._checkpoint = Checkpoint.capture(core)
+            if not core.collector.capacity():
+                self._checkpoint = core.snapshot()
                 self.checkpoints_taken += 1
                 self._retries_here = 0
+
+    def rollback(self):
+        """Return the core to the last checkpoint; returns the core.
+
+        Everything the checkpoint holds is restored except the cycle
+        count, the caches' timing state and the control-flow checker's
+        ``blocks_checked``, which run on; the watchdog restarts.
+        """
+        core = self.core
+        blocks_checked = core.cfc.blocks_checked
+        core.restore(self._checkpoint._replace(cycles=core.cycles,
+                                               mem=core.mem.snapshot()))
+        core.cfc.blocks_checked = blocks_checked
+        core.watchdog.reset()
+        return core
 
     def run(self, max_instructions=5_000_000):
         """Run to halt, recovering from every detection.
@@ -165,7 +120,7 @@ class RecoveringCore:
                 self._retries_here += 1
                 if self._retries_here > self.max_retries:
                     raise UnrecoverableError(exc.event, self._retries_here) from exc
-                self._checkpoint.restore(core)
+                self.rollback()
                 continue
             if record is None:
                 raise RuntimeError("core hung with detection disabled")

@@ -40,10 +40,6 @@ class CheckedRegisterFile:
         self.values[index] = value
         self.parity[index] = parity32(value) if parity is None else (parity & 1)
 
-    def parity_ok(self, index):
-        """Does the stored parity match the stored value right now?"""
-        return self.parity[index] == parity32(self.values[index])
-
     # -- checkpointing ---------------------------------------------------
     def snapshot(self):
         """Immutable (values, parity) capture for checkpointing."""
@@ -65,7 +61,3 @@ class CheckedRegisterFile:
         if index == 0:
             return
         self.parity[index] ^= 1
-
-    def architectural_state(self):
-        """Plain value list (r0 first), for golden-state comparison."""
-        return list(self.values)

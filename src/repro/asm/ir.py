@@ -110,14 +110,3 @@ def clone_statements(stmts):
         else:  # pragma: no cover - IR node kinds are closed
             raise TypeError("unknown statement %r" % (s,))
     return out
-
-
-def format_statements(stmts):
-    """Render a statement list back to assembly text (for debugging)."""
-    lines = []
-    for s in stmts:
-        if isinstance(s, Label):
-            lines.append(str(s))
-        else:
-            lines.append("    " + str(s))
-    return "\n".join(lines) + "\n"

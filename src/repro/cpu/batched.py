@@ -50,7 +50,6 @@ materializing at the injection step is always exact, only slower.
 from collections import namedtuple
 
 from repro.cpu.checkedcore import CheckedCore
-from repro.faults.checkpoint import capture
 from repro.faults.execution import detection_loop, masking_loop
 from repro.faults.injector import SignalInjector
 from repro.faults.model import FaultSchedule, INTERMITTENT, PERMANENT, TRANSIENT
@@ -220,7 +219,7 @@ class BatchedEngine:
             waiting = stop_lanes.get(stop)
             if not waiting:
                 continue
-            snapshot = capture(core)
+            snapshot = core.snapshot()
             for lane in waiting:
                 outcome = self._run_lane(lane, snapshot, bases)
                 if lane.detect:

@@ -25,9 +25,18 @@ checker catches which fault class, so it mirrors the paper's design:
   ``lsu.load_data`` - the core/memory interface (Sec. 3.4);
 * ``ctl.flag``, ``ctl.btarget``, ``ctl.hang`` - branch resolution and
   pipeline liveness.
+
+The core owns its state format: :meth:`CheckedCore.snapshot` returns a
+:class:`CoreSnapshot` and :meth:`CheckedCore.restore` writes one back
+bit-exact.  Golden-run checkpoints (:mod:`repro.faults.checkpoint`), the
+batched engine's sweep (:mod:`repro.cpu.batched`), the masking runs'
+reconvergence check (:meth:`CheckedCore.masking_view` against
+:meth:`CoreSnapshot.masking_view`) and backward error recovery
+(:mod:`repro.argus.recovery`) all use that one object.
 """
 
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 
 from repro.argus.checkers import AdderChecker, ModuloChecker, RsseChecker
@@ -44,11 +53,12 @@ from repro.argus.payload import PayloadCollector, PayloadError, sig_is_terminato
 from repro.argus.regfile import CheckedRegisterFile
 from repro.argus.shs import ShsFile, apply_instruction, canonical_word
 from repro.argus.watchdog import Watchdog
-from repro.cpu import alu
 from repro.cpu.fastcore import Timing
 from repro.isa import registers
 from repro.isa.decode import decode_or_none
 from repro.isa.opcodes import Op
+from repro.isa.semantics import (alu_execute, divide, evaluate_condition,
+                                 mul64, sign_extend_load)
 from repro.mem.checked import CheckedMemory, parity32
 from repro.mem.hierarchy import MemoryConfig, MemorySystem
 
@@ -89,6 +99,68 @@ def _dmem_image(program):
     image = dmem.snapshot()
     _DMEM_IMAGES[program] = (list(program.words), data, image)
     return image
+
+
+class CoreSnapshot(namedtuple("CoreSnapshot", (
+        "step pc flag cfc_flag cycles instret block_index halted hung "
+        "in_delay delayed_target pending_term "
+        "rf shs cfc collector watchdog dmem mem"))):
+    """Complete restorable :class:`CheckedCore` state at one retire
+    boundary (:meth:`CheckedCore.snapshot`, :meth:`CheckedCore.restore`).
+
+    ``step`` is the dynamic instruction index the snapshot was taken at:
+    the state *before* executing instruction ``step`` (so it equals the
+    captured ``instret``).  The scalar fields mirror the core's own;
+    ``rf``, ``shs``, ``cfc``, ``collector`` and ``watchdog`` are those
+    components' immutable ``snapshot()`` tuples, ``dmem`` the protected
+    memory's ``(stored, parity)`` page tables and ``mem`` the caches'
+    (:meth:`CheckedMemory.snapshot`, :meth:`MemorySystem.snapshot`).
+    Instruction memory is loaded once from the program and never
+    written by the core, so it is shared, not captured.
+    """
+
+    __slots__ = ()
+
+    def masking_view(self):
+        """The replay-relevant projection for a checkers-off core.
+
+        Two cores whose masking views are equal retire bit-identical
+        records from here on (given no further fault activity): the view
+        covers everything a ``detect=False`` step reads - architectural
+        state, delay-slot sequencing, the payload collector (link-DCS
+        tagging is architectural) and the *functional* protected-memory
+        contents.  Checker-only state (SHS, CFC, watchdog, parity bits,
+        cache timing) is deliberately excluded: a detect-off run never
+        reads it, which is also why a cold masking run and a golden
+        warm-started one can be compared through this projection.
+        :meth:`CheckedCore.masking_view` is the same projection of a
+        live core.
+
+        Memory enters as its sorted ``(page, stored words)`` pairs,
+        which are equal exactly when the written words and their
+        functional values are; pages shared between the two sides
+        compare by identity, so the view costs O(pages).
+        """
+        return (
+            self.pc,
+            self.flag,
+            self.rf[0],
+            self.halted,
+            self.in_delay,
+            self.delayed_target,
+            self.pending_term[0] if self.pending_term is not None else None,
+            self.collector,
+            CheckedMemory.snapshot_stored_pages(self.dmem),
+        )
+
+    def flat(self):
+        """Every field in order, with ``dmem`` and ``mem`` in their
+        per-word and per-set forms (:meth:`CheckedMemory.flat_snapshot`,
+        :meth:`MemorySystem.flat_snapshot`).  Two snapshots' flat forms
+        are equal exactly when the captured states are, whatever pages
+        they do or do not share."""
+        return self[:-2] + (CheckedMemory.flat_snapshot(self.dmem),
+                            MemorySystem.flat_snapshot(self.mem))
 
 
 @dataclass
@@ -348,7 +420,7 @@ class CheckedCore:
             stall += extra
         elif op is Op.SF or op is Op.SFI:
             rhs = b_val if op is Op.SF else (fu.imm & WORD_MASK)
-            new_flag = 1 if alu.evaluate_condition(fu.cond, a_val, rhs) else 0
+            new_flag = 1 if evaluate_condition(fu.cond, a_val, rhs) else 0
             new_flag = tap("ex.flag", new_flag) & 1
             if self._chk_comp and not self.adder.check_compare(chk.cond, a_val, rhs, new_flag):
                 self._raise(ComputationCheckError,
@@ -445,7 +517,7 @@ class CheckedCore:
         op = fu.op
         if op in (Op.ADDI, Op.ANDI, Op.ORI, Op.XORI):
             b_val = fu.imm & WORD_MASK
-        result = tap("ex.alu.result", alu.alu_execute(op, a_val, b_val, fu.shamt))
+        result = tap("ex.alu.result", alu_execute(op, a_val, b_val, fu.shamt))
         if not self._chk_comp:
             return result
         cop = chk.op
@@ -482,7 +554,7 @@ class CheckedCore:
         tap = self._tap
         op = fu.op
         if op in (Op.MUL, Op.MULU):
-            product = tap("ex.mul.product", alu.mul64(op, a_val, b_val))
+            product = tap("ex.mul.product", mul64(op, a_val, b_val))
             product &= 0xFFFFFFFFFFFFFFFF
             if self._chk_comp:
                 lhs, rhs = self.modulo.residues_mul(chk.op, a_val, b_val,
@@ -494,7 +566,7 @@ class CheckedCore:
                                 modulus=self.modulo.modulus,
                                 expected=lhs, observed=rhs)
             return product & WORD_MASK, self.timing.mul_extra
-        quotient, remainder = alu.divide(op, a_val, b_val)
+        quotient, remainder = divide(op, a_val, b_val)
         quotient = tap("ex.div.quotient", quotient) & WORD_MASK
         remainder = tap("ex.div.remainder", remainder) & WORD_MASK
         if self._chk_comp:
@@ -570,9 +642,9 @@ class CheckedCore:
         if op is Op.LWZ:
             extended = raw
         elif op in (Op.LHZ, Op.LHS):
-            extended = alu.sign_extend_load(op, (raw >> (8 * (offset & 2))) & 0xFFFF)
+            extended = sign_extend_load(op, (raw >> (8 * (offset & 2))) & 0xFFFF)
         else:
-            extended = alu.sign_extend_load(op, (raw >> (8 * offset)) & 0xFF)
+            extended = sign_extend_load(op, (raw >> (8 * offset)) & 0xFF)
         result = tap("lsu.load_data", extended) & WORD_MASK
         if self._chk_comp and not self.rsse.check_load_extension(chk.op, raw, offset, result):
             self._raise(ComputationCheckError, "load alignment RSSE sub-checker",
@@ -657,17 +729,24 @@ class CheckedCore:
             self.dmem.functional_snapshot(),
         )
 
-    # -- checkpointing ---------------------------------------------------
+    # -- state ------------------------------------------------------------
     def snapshot(self):
-        """Capture the complete core state as a compact, restorable
-        :class:`~repro.faults.checkpoint.CoreSnapshot` (see that module
-        for exactly what is and is not included)."""
-        from repro.faults.checkpoint import capture  # avoid import cycle
+        """The complete core state as a :class:`CoreSnapshot`.
 
-        return capture(self)
+        Components come back as flat tuples and protected memory and the
+        caches as page tables shared copy-on-write with the core, so a
+        capture costs O(pages) and never deep-copies.
+        """
+        return CoreSnapshot(
+            self.instret, self.pc, self.flag, self.cfc_flag, self.cycles,
+            self.instret, self.block_index, self.halted, self.hung,
+            self._in_delay, self._delayed_target, self._pending_term,
+            self.rf.snapshot(), self.shs.snapshot(), self.cfc.snapshot(),
+            self.collector.snapshot(), self.watchdog.snapshot(),
+            self.dmem.snapshot(), self.mem.snapshot())
 
     def restore(self, snapshot):
-        """Restore a :meth:`snapshot` capture; returns self.
+        """Write a :meth:`snapshot` back, bit-exact; returns self.
 
         The core must have been built over the same embedded program
         (instruction memory is shared, not captured).  The injector and
@@ -675,6 +754,31 @@ class CheckedCore:
         snapshot into a differently-configured core is exactly how the
         campaign warm-starts its masking and detection runs.
         """
-        from repro.faults.checkpoint import restore  # avoid import cycle
+        (_, self.pc, self.flag, self.cfc_flag, self.cycles, self.instret,
+         self.block_index, self.halted, self.hung, self._in_delay,
+         self._delayed_target, self._pending_term,
+         rf, shs, cfc, collector, watchdog, dmem, mem) = snapshot
+        self.rf.restore(rf)
+        self.shs.restore(shs)
+        self.cfc.restore(cfc)
+        self.collector.restore(collector)
+        self.watchdog.restore(watchdog)
+        self.dmem.restore(dmem)
+        self.mem.restore(mem)
+        return self
 
-        return restore(self, snapshot)
+    def masking_view(self):
+        """:meth:`CoreSnapshot.masking_view` of the live core, without
+        paying for a capture (the reconvergence check runs it at every
+        checkpoint boundary of a masking run)."""
+        return (
+            self.pc,
+            self.flag,
+            tuple(self.rf.values),
+            self.halted,
+            self._in_delay,
+            self._delayed_target,
+            self._pending_term[0] if self._pending_term is not None else None,
+            self.collector.snapshot(),
+            self.dmem.stored_pages(),
+        )

@@ -16,10 +16,11 @@ instructions and the larger code footprint - exactly the paper's claim.
 
 from dataclasses import dataclass, field
 
-from repro.cpu import alu
 from repro.isa import registers
 from repro.isa.decode import decode_cached
 from repro.isa.opcodes import Op
+from repro.isa.semantics import (WORD_MASK, alu_execute, evaluate_condition,
+                                 sign_extend_load)
 from repro.mem.hierarchy import MemorySystem, MemoryConfig
 
 
@@ -92,7 +93,7 @@ class FastCore:
         timing = self.timing
         histogram = self._histogram
         collect = self.collect_histogram
-        mask = alu.WORD_MASK
+        mask = WORD_MASK
         addr_mask = registers.ADDR_MASK
 
         pc = self.pc
@@ -136,7 +137,7 @@ class FastCore:
                     raw, latency = mem.load_byte(address)
                 cycles += latency - 1
                 if instr.rd:
-                    regs[instr.rd] = alu.sign_extend_load(op, raw)
+                    regs[instr.rd] = sign_extend_load(op, raw)
             elif instr.is_store:
                 address = (regs[instr.ra] + instr.imm) & addr_mask
                 value = regs[instr.rb]
@@ -148,9 +149,9 @@ class FastCore:
                     __, latency = mem.store_byte(address, value & 0xFF)
                 cycles += latency - 1
             elif op is Op.SF:
-                flag = alu.evaluate_condition(instr.cond, regs[instr.ra], regs[instr.rb])
+                flag = evaluate_condition(instr.cond, regs[instr.ra], regs[instr.rb])
             elif op is Op.SFI:
-                flag = alu.evaluate_condition(instr.cond, regs[instr.ra], instr.imm & mask)
+                flag = evaluate_condition(instr.cond, regs[instr.ra], instr.imm & mask)
             elif op is Op.BF:
                 if flag:
                     branch_target = (pc + 4 * instr.offset) & mask
@@ -172,13 +173,13 @@ class FastCore:
                     regs[instr.rd] = (instr.imm << 16) & mask
             elif op in (Op.ADDI, Op.ANDI, Op.ORI, Op.XORI):
                 if instr.rd:
-                    regs[instr.rd] = alu.alu_execute(op, regs[instr.ra], instr.imm & mask)
+                    regs[instr.rd] = alu_execute(op, regs[instr.ra], instr.imm & mask)
             elif op in (Op.SLLI, Op.SRLI, Op.SRAI):
                 if instr.rd:
-                    regs[instr.rd] = alu.alu_execute(op, regs[instr.ra], shamt=instr.shamt)
+                    regs[instr.rd] = alu_execute(op, regs[instr.ra], shamt=instr.shamt)
             else:
                 # Register-register ALU (incl. muldiv and extensions).
-                result = alu.alu_execute(op, regs[instr.ra], regs[instr.rb])
+                result = alu_execute(op, regs[instr.ra], regs[instr.rb])
                 if instr.is_muldiv:
                     if op in (Op.MUL, Op.MULU):
                         cycles += timing.mul_extra

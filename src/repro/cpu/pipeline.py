@@ -26,11 +26,11 @@ overlap EX busy cycles here, so the pipeline is allowed to be slightly
 
 from dataclasses import dataclass
 
-from repro.cpu import alu
 from repro.cpu.fastcore import Timing
 from repro.isa import registers
 from repro.isa.decode import decode_cached
 from repro.isa.opcodes import Op
+from repro.isa.semantics import alu_execute, evaluate_condition, sign_extend_load
 from repro.mem.hierarchy import MemoryConfig, MemorySystem
 
 WORD_MASK = 0xFFFFFFFF
@@ -70,7 +70,7 @@ class PipelinedCore:
     Architectural effects commit when an instruction occupies EX (the
     in-order scalar pipeline makes this indistinguishable from commit at
     WB), so functional behaviour is defined by the same
-    :mod:`repro.cpu.alu` helpers the other cores use.
+    :mod:`repro.isa.semantics` helpers the other cores use.
     """
 
     def __init__(self, program, mem_config=None, timing=None):
@@ -186,7 +186,7 @@ class PipelinedCore:
             else:
                 raw, latency = self.mem.load_byte(address)
             if instr.rd:
-                regs[instr.rd] = alu.sign_extend_load(op, raw)
+                regs[instr.rd] = sign_extend_load(op, raw)
             return latency - 1
         if instr.is_store:
             address = (regs[instr.ra] + instr.imm) & ADDR_MASK
@@ -199,12 +199,12 @@ class PipelinedCore:
                 __, latency = self.mem.store_byte(address, value & 0xFF)
             return latency - 1
         if op is Op.SF:
-            self.flag = alu.evaluate_condition(instr.cond, regs[instr.ra],
-                                               regs[instr.rb])
+            self.flag = evaluate_condition(instr.cond, regs[instr.ra],
+                                           regs[instr.rb])
             return 0
         if op is Op.SFI:
-            self.flag = alu.evaluate_condition(instr.cond, regs[instr.ra],
-                                               instr.imm & mask)
+            self.flag = evaluate_condition(instr.cond, regs[instr.ra],
+                                           instr.imm & mask)
             return 0
         if instr.is_branch:
             taken = True
@@ -234,15 +234,15 @@ class PipelinedCore:
             return 0
         if op in (Op.ADDI, Op.ANDI, Op.ORI, Op.XORI):
             if instr.rd:
-                regs[instr.rd] = alu.alu_execute(op, regs[instr.ra],
-                                                 instr.imm & mask)
+                regs[instr.rd] = alu_execute(op, regs[instr.ra],
+                                             instr.imm & mask)
             return 0
         if op in (Op.SLLI, Op.SRLI, Op.SRAI):
             if instr.rd:
-                regs[instr.rd] = alu.alu_execute(op, regs[instr.ra],
-                                                 shamt=instr.shamt)
+                regs[instr.rd] = alu_execute(op, regs[instr.ra],
+                                             shamt=instr.shamt)
             return 0
-        result = alu.alu_execute(op, regs[instr.ra], regs[instr.rb])
+        result = alu_execute(op, regs[instr.ra], regs[instr.rb])
         if instr.rd:
             regs[instr.rd] = result
         if instr.is_muldiv:

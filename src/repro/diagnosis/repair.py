@@ -47,7 +47,7 @@ from repro.argus.payload import (PayloadCollector, PayloadError,
 from repro.asm.program import Program
 from repro.isa.decode import DecodeError, decode
 from repro.toolchain.embed import (EmbedError, _compute_block_dcs,
-                                   scan_hardware_blocks, verify_embedding)
+                                   scan_hardware_blocks)
 
 ARG020 = "ARG020"
 ARG021 = "ARG021"
@@ -516,10 +516,3 @@ def _finalize(outcome, trial, edits, entry_dcs, oracle):
     outcome.program = trial
     outcome.edits = tuple(edits)
     return outcome
-
-
-def verify_repaired(program, entry_dcs=None):
-    """Convenience oracle: full verify_embedding + analyzer pass."""
-    embedded = verify_embedding(program)
-    report = analyze_program(program, expected_entry_dcs=entry_dcs)
-    return embedded, report

@@ -24,7 +24,8 @@ This package reproduces that methodology against the checked core:
 """
 
 from repro.faults.model import FaultSpec, StateFaultApplier, TRANSIENT, PERMANENT
-from repro.faults.checkpoint import CheckpointStore, CoreSnapshot
+from repro.cpu.checkedcore import CoreSnapshot
+from repro.faults.checkpoint import CheckpointStore
 from repro.faults.injector import SignalInjector
 from repro.faults.points import build_point_population, InjectionPoint
 from repro.faults.stress import stress_test_source, build_stress_program

@@ -15,7 +15,6 @@ mid-flight from the batch sweep's live golden core.
 """
 
 from repro.argus.errors import ArgusError
-from repro.faults.checkpoint import masking_view_of
 
 
 def masking_loop(core, injector, schedule, golden, golden_final, limit,
@@ -31,7 +30,7 @@ def masking_loop(core, injector, schedule, golden, golden_final, limit,
     while not core.halted and step < limit:
         if reconverge and step > inject_at and step % store.interval == 0:
             view = store.masking_view_at(step)
-            if view is not None and view == masking_view_of(core):
+            if view is not None and view == core.masking_view():
                 return True, None, False  # reconverged: tail == golden
         schedule.before_step(step, injector, core)
         record = core.step()

@@ -47,10 +47,6 @@ class FaultSpec:
     index: Optional[int] = None
     is_state: bool = False
 
-    def describe(self):
-        where = self.target if self.index is None else "%s[%d]" % (self.target, self.index)
-        return "%s mask=0x%x" % (where, self.mask)
-
 
 class StateFaultApplier:
     """Applies (and, for permanents, re-asserts) a state fault on a core."""

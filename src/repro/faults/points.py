@@ -22,6 +22,7 @@ The population deliberately includes:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.faults.model import FaultSpec
 
@@ -181,7 +182,17 @@ INERT_ARGUS_FACTOR = 0.20
 
 
 def build_point_population(include_double_bits=True, include_inert=True):
-    """Enumerate all injection points with gate-derived weights."""
+    """Every injection point with its gate-derived weight, as a tuple.
+
+    Built once per argument pair and shared by every caller (campaigns,
+    static coverage, the coverage matrix), which only sample, slice or
+    iterate it.
+    """
+    return _point_population(bool(include_double_bits), bool(include_inert))
+
+
+@lru_cache(maxsize=None)
+def _point_population(include_double_bits, include_inert):
     points = []
     if include_inert:
         for component, gates in GATE_INVENTORY.items():
@@ -209,7 +220,7 @@ def build_point_population(include_double_bits=True, include_inert=True):
                                      index=index, is_state=is_state)
                     points.append(InjectionPoint(spec, double_weight, component,
                                                  double_bit=True))
-    return points
+    return tuple(points)
 
 
 def population_summary(points=None):

@@ -143,11 +143,6 @@ def op_format(op):
     return _OP_FORMAT[op]
 
 
-def format_spare_positions(fmt):
-    """Spare-bit positions (MSB-first) for an encoding-format name."""
-    return _FORMAT_SPARE[fmt]
-
-
 def spare_bit_positions(op):
     """Spare-bit positions (MSB-first) available in an instruction of ``op``.
 

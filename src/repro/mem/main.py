@@ -107,10 +107,6 @@ class MainMemory:
             pos += chunk
             address += chunk
 
-    def touched_pages(self):
-        """Sorted page numbers that have been written (testing/inspection)."""
-        return sorted(self._pages)
-
     def snapshot(self):
         """Deep copy of all touched pages (golden-state comparison)."""
         return {number: bytes(page) for number, page in self._pages.items()}

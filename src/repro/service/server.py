@@ -360,11 +360,6 @@ class ServiceServer:
                        "pid": os.getpid()}, handle)
         os.replace(tmp, path)
 
-    async def serve_async(self):
-        await self.start_async()
-        async with self._server:
-            await self._server.serve_forever()
-
     # -- threaded embedding (tests, benchmarks, library users) ---------------
     def start_in_thread(self):
         """Run the event loop on a daemon thread; returns (host, port)."""

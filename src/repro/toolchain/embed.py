@@ -70,9 +70,6 @@ class EmbeddedProgram:
             return 0.0
         return self.sigs_added / self.base_words
 
-    def block_at(self, address):
-        return self.blocks[address]
-
 
 def scan_hardware_blocks(program):
     """Partition the text segment exactly as the fetch hardware does.

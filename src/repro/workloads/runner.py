@@ -14,15 +14,6 @@ from repro.cpu import FastCore
 from repro.mem.hierarchy import MemoryConfig
 
 
-def _resolve_workers(workers, jobs):
-    """None -> serial; 0 -> one per CPU; else the requested count."""
-    if workers is None:
-        return 1
-    import os
-    count = (os.cpu_count() or 1) if workers == 0 else int(workers)
-    return max(1, min(count, jobs))
-
-
 @dataclass(frozen=True)
 class Measurement:
     """One workload's base-vs-embedded comparison."""
@@ -94,13 +85,18 @@ def measure_workload(workload, ways=1, max_instructions=50_000_000):
 def measure_suite(workloads, ways=1, workers=None):
     """Measure a collection of workloads; returns a list of Measurements.
 
-    With ``workers`` (0 = one per CPU) the per-workload measurements fan
-    out across a process pool - each workload is independent, so results
-    are returned in input order and identical to a serial run.  Falls
-    back to serial execution where process pools are unavailable.
+    With ``workers`` the per-workload measurements fan out across a
+    process pool - each workload is independent, so results are returned
+    in input order and identical to a serial run.  ``workers=0`` sizes
+    the pool as campaigns do (:func:`repro.runner.pool.default_workers`).
+    Falls back to serial execution where process pools are unavailable.
     """
     workloads = list(workloads)
-    count = _resolve_workers(workers, len(workloads))
+    if workers == 0:
+        # Imported here: figure runs need no campaign stack otherwise.
+        from repro.runner.pool import default_workers
+        workers = default_workers()
+    count = max(1, min(int(workers or 1), len(workloads)))
     if count > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
@@ -112,8 +108,3 @@ def measure_suite(workloads, ways=1, workers=None):
         except (OSError, PermissionError, BrokenProcessPool):
             pass  # sandboxed/fork-less environments: run serially below
     return [measure_workload(wl, ways=ways) for wl in workloads]
-
-
-def geometric_or_arithmetic_mean(values):
-    """Arithmetic mean (the paper reports arithmetic averages)."""
-    return sum(values) / len(values) if values else 0.0

@@ -16,19 +16,22 @@ Two layers of guarantees:
   pure acceleration.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.cpu.batched
 import repro.faults.checkpoint
 from repro.cpu.checkedcore import CheckedCore
 from repro.faults.campaign import Campaign
-from repro.faults.checkpoint import (CheckpointStore, capture,
-                                     masking_view_of, record_checkpoints,
-                                     restore)
+from repro.faults.checkpoint import CheckpointStore, record_checkpoints
 from repro.faults.execution import masking_loop
 from repro.faults.injector import SignalInjector
 from repro.faults.model import PERMANENT, TRANSIENT, FaultSpec, StateFaultApplier
@@ -235,26 +238,17 @@ class TestCheckpointStore:
         embedded = _embedded("stress")
         core = CheckedCore(embedded, detect=True)
         _run_steps(core, 128)
-        assert capture(core).masking_view() == masking_view_of(core)
-
-    def test_restore_free_function_matches_method(self):
-        embedded = _embedded("stress")
-        core = CheckedCore(embedded, detect=True)
-        _run_steps(core, 77)
-        snap = capture(core)
-        a = restore(CheckedCore(embedded, detect=True), snap)
-        b = CheckedCore(embedded, detect=True).restore(snap)
-        assert _full_state(a) == _full_state(b)
+        assert core.snapshot().masking_view() == core.masking_view()
 
     def test_snapshot_pickles_and_has_no_dict(self):
-        # Slotted and frozen: unpickling must bypass the frozen setattr.
+        # A slotted namedtuple: it pickles without custom hooks.
         core = CheckedCore(_embedded("stress"), detect=True)
         _run_steps(core, 77)
-        snap = capture(core)
+        snap = core.snapshot()
         assert not hasattr(snap, "__dict__")
         again = pickle.loads(pickle.dumps(snap))
         assert again == snap
-        assert _full_state(restore(CheckedCore(_embedded("stress")), again)) \
+        assert _full_state(CheckedCore(_embedded("stress")).restore(again)) \
             == _full_state(core)
 
     def test_rejects_bad_parameters(self):
@@ -264,6 +258,30 @@ class TestCheckpointStore:
             CheckpointStore(interval=-4)
         with pytest.raises(ValueError):
             CheckpointStore(max_checkpoints=-1)
+
+
+def test_cpu_package_stands_alone():
+    """The core snapshots and restores itself without loading the fault
+    campaign: ``repro.cpu`` imports nothing from ``repro.faults``."""
+    script = textwrap.dedent("""
+        import sys
+        from repro.cpu import CheckedCore
+        from repro.toolchain import embed_program
+        core = CheckedCore(embed_program(
+            "start:  li r1, 3\\n        addi r1, r1, 1\\n        halt\\n"))
+        core.step()
+        snap = core.snapshot()
+        core.step()
+        core.restore(snap)
+        assert core.instret == 1 and core.snapshot() == snap
+        assert "repro.faults" not in sys.modules, sorted(
+            name for name in sys.modules if name.startswith("repro.faults"))
+    """)
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=False,
+                            env=dict(os.environ, PYTHONPATH=source_root))
+    assert result.returncode == 0, result.stderr
 
 
 def _result_key(result):

@@ -6,9 +6,9 @@ chain - step 0, every checkpoint, then halt - is restored into two
 cores: a freshly built one, and one recycled core that has just run a
 later link, as the engine's pooled lane cores are reused.  Each core
 steps to the next link; its retire records must equal the golden
-trace there, and the :meth:`~repro.faults.checkpoint.CoreSnapshot.flat`
-form of its capture must equal the next checkpoint's (at halt, the
-golden core's own final capture).  Because snapshots share memory and
+trace there, and the :meth:`~repro.cpu.checkedcore.CoreSnapshot.flat`
+form of its snapshot must equal the next checkpoint's (at halt, the
+golden core's own final snapshot).  Because snapshots share memory and
 cache pages copy-on-write with the cores that restore them, this checks
 that no core ever writes a page a snapshot still holds.
 
@@ -18,13 +18,12 @@ differing components.  Tier-1 checks the small, stress and fuzz (seed
 bundled workload follows.
 """
 
-import dataclasses
 import os
 
 import pytest
 
-from repro.cpu.checkedcore import CheckedCore
-from repro.faults.checkpoint import CoreSnapshot, capture, record_checkpoints
+from repro.cpu.checkedcore import CheckedCore, CoreSnapshot
+from repro.faults.checkpoint import record_checkpoints
 from repro.workloads import WORKLOADS
 from tests.test_batched import _embedded
 
@@ -32,17 +31,17 @@ _ALL = os.environ.get("ARGUS_ORACLE_WORKLOADS") == "all"
 TIER1 = ("small", "stress", "fuzz", "mesa")
 PROGRAMS = TIER1 + (tuple(sorted(set(WORKLOADS) - set(TIER1))) if _ALL else ())
 
-FIELDS = tuple(field.name for field in dataclasses.fields(CoreSnapshot))
+FIELDS = CoreSnapshot._fields
 
 
 def chain_failure(embedded):
     """The first failing link of one program's chain, or None."""
     golden = CheckedCore(embedded, detect=True)
-    links = [capture(golden)]
+    links = [golden.snapshot()]
     trace = []
     store = record_checkpoints(golden, trace=trace)
     links += [store.at(step) for step in store.steps]
-    links.append(capture(golden))
+    links.append(golden.snapshot())
     recycled = CheckedCore(embedded, detect=True)
     recycled.run()
     # Backwards, so the recycled core always arrives from a later state.
@@ -57,7 +56,7 @@ def chain_failure(embedded):
                     return "checkpoint %d, %s core: record of step %d is %r, " \
                         "golden %r" % (start.step, label, step, record, trace[step])
             differ = [name for name, got, expected
-                      in zip(FIELDS, capture(core).flat(), want) if got != expected]
+                      in zip(FIELDS, core.snapshot().flat(), want) if got != expected]
             if differ:
                 return "checkpoint %d, %s core: state at %d differs in %s" % (
                     start.step, label, end.step, ", ".join(differ))

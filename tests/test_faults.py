@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.cpu import CheckedCore
+from repro.faults.campaign import Campaign
 from repro.faults.injector import SignalInjector
 from repro.faults.model import PERMANENT, TRANSIENT, FaultSpec, StateFaultApplier
 from repro.faults.points import (
@@ -199,6 +200,15 @@ class TestPointPopulation:
         a = sample_points(points, 50, random.Random(3))
         b = sample_points(points, 50, random.Random(3))
         assert [p.spec for p in a] == [p.spec for p in b]
+
+    def test_population_built_once_and_shared(self):
+        embedded = embed_program(SMALL)
+        first = Campaign(embedded=embedded, seed=1).points
+        assert isinstance(first, tuple)
+        assert Campaign(embedded=embedded, seed=2).points is first
+        singles = Campaign(embedded=embedded, include_double_bits=False).points
+        assert singles is not first
+        assert singles is build_point_population(include_double_bits=False)
 
     def test_inventory_totals_near_paper_40k(self):
         total = sum(GATE_INVENTORY.values())

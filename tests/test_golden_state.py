@@ -2,11 +2,11 @@
 
 A fault-free, checkers-on :class:`~repro.cpu.checkedcore.CheckedCore`
 is stepped over each program.  At step 0, every ``INTERVAL`` retired
-instructions and at halt, each component of
-:func:`repro.faults.checkpoint.capture` is hashed - register file, SHS
-file, control-flow checker, payload collector, watchdog, protected
-memory, caches and the scalar core state - together with a running hash
-of the retire trace so far.  The hashes must equal the committed
+instructions and at halt, each component of its
+:meth:`~repro.cpu.checkedcore.CheckedCore.snapshot` is hashed - register
+file, SHS file, control-flow checker, payload collector, watchdog,
+protected memory, caches and the scalar core state - together with a
+running hash of the retire trace so far.  The hashes must equal the committed
 fixture ``tests/fixtures/golden_state.json``.
 
 Components are hashed in :meth:`CoreSnapshot.flat` form: protected
@@ -29,7 +29,6 @@ state::
     PYTHONPATH=src python -m tests.test_golden_state
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -37,8 +36,7 @@ import pathlib
 
 import pytest
 
-from repro.cpu.checkedcore import CheckedCore
-from repro.faults.checkpoint import CoreSnapshot, capture
+from repro.cpu.checkedcore import CheckedCore, CoreSnapshot
 from repro.workloads import WORKLOADS
 from tests.test_batched import _embedded
 
@@ -56,7 +54,7 @@ TIER1 = ("small", "stress", "fuzz", "mesa")
 PROGRAMS = TIER1 + (tuple(sorted(set(WORKLOADS) - set(TIER1))) if _ALL else ())
 
 #: Hashed components: every CoreSnapshot field, then the retire trace.
-COMPONENTS = tuple(field.name for field in dataclasses.fields(CoreSnapshot)) + ("trace",)
+COMPONENTS = CoreSnapshot._fields + ("trace",)
 
 
 def _canonical(value):
@@ -80,7 +78,7 @@ def golden_state_rows(embedded):
     rows = []
 
     def row():
-        flat = capture(core).flat()
+        flat = core.snapshot().flat()
         digests = {name: _digest(value) for name, value in zip(COMPONENTS, flat)}
         digests["trace"] = trace.hexdigest()[:DIGEST_HEX]
         rows.append((core.instret, digests))

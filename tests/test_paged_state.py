@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.checkedcore import CheckedCore
-from repro.faults.checkpoint import capture
 from repro.isa import registers
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.checked import PAGE_WORDS, CheckedMemory, parity32
@@ -305,7 +304,7 @@ def test_two_cores_restored_from_one_capture_stay_apart():
     golden = CheckedCore(embedded, detect=True)
     for _ in range(6):
         golden.step()
-    snapshot = capture(golden)
+    snapshot = golden.snapshot()
     flat = snapshot.flat()
     buf = embedded.program.addr_of("buf")
     golden_word = golden.load_word(buf)
@@ -317,4 +316,4 @@ def test_two_cores_restored_from_one_capture_stay_apart():
     assert [core.load_word(buf) for core in cores] == [100, 101]
     assert golden.load_word(buf) == golden_word
     assert snapshot.flat() == flat
-    assert capture(golden).flat() == flat
+    assert golden.snapshot().flat() == flat

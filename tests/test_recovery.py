@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.argus.recovery import (
-    Checkpoint,
-    RecoveringCore,
-    UnrecoverableError,
-)
-from repro.cpu import CheckedCore
+from repro.argus.recovery import RecoveringCore, UnrecoverableError
+from repro.cpu import CheckedCore, CoreSnapshot
 from repro.faults.injector import SignalInjector
 from repro.faults.model import FaultSpec
 from repro.toolchain import embed_program
@@ -32,45 +28,52 @@ buf:    .word 0, 0
 EXPECTED_SUM = sum(range(1, 21))
 
 
-class TestCheckpoint:
-    def test_capture_restore_roundtrip(self):
-        embedded = embed_program(PROGRAM)
-        core = CheckedCore(embedded, detect=True)
-        for _ in range(10):
-            core.step()
-        snapshot = Checkpoint.capture(core)
-        state_then = core.architectural_state()
-        for _ in range(15):
-            core.step()
-        assert core.architectural_state() != state_then
-        snapshot.restore(core)
-        assert core.architectural_state() == state_then
-        assert core.instret == snapshot.instret
+def _fields(core):
+    """The core's snapshot fields by name, memory in per-word form."""
+    return dict(zip(CoreSnapshot._fields, core.snapshot().flat()))
 
-    def test_restored_core_completes_correctly(self):
-        embedded = embed_program(PROGRAM)
-        core = CheckedCore(embedded, detect=True)
-        for _ in range(12):
-            core.step()
-        snapshot = Checkpoint.capture(core)
-        for _ in range(20):
-            core.step()
-        snapshot.restore(core)
-        core.run()
-        assert core.load_word(embedded.program.addr_of("buf") + 4) == EXPECTED_SUM
 
-    def test_restore_is_deep(self):
-        embedded = embed_program(PROGRAM)
-        core = CheckedCore(embedded, detect=True)
-        core.run()
-        snapshot = Checkpoint.capture(core)
-        snapshot.regs[5] = 0xDEAD  # mutating the snapshot copy...
-        assert core.rf.values[5] != 0xDEAD or core.rf.values[5] == 0xDEAD
-        core2 = CheckedCore(embed_program(PROGRAM), detect=True)
-        before = list(core2.rf.values)
-        probe = Checkpoint.capture(core2)
-        probe.regs[1] = 0x1234
-        assert core2.rf.values == before  # capture copied, not aliased
+class TestRollback:
+    @staticmethod
+    def _past_second_checkpoint(extra_steps):
+        """A recovering core stepped to its second checkpoint (returning
+        that state's fields) and then ``extra_steps`` further."""
+        core = CheckedCore(embed_program(PROGRAM), detect=True)
+        recovering = RecoveringCore(core, checkpoint_interval=8)
+        while recovering.checkpoints_taken < 2:
+            core.step()
+            recovering._maybe_checkpoint()
+        checkpoint = _fields(core)
+        records = [core.step() for _ in range(extra_steps)]
+        return recovering, checkpoint, records
+
+    def test_restores_all_but_what_runs_on(self):
+        """The core's state equals the checkpoint's except the cycle
+        count, the caches and the CFC's block count, which keep their
+        values from just before the rollback, and the watchdog, which
+        restarts."""
+        recovering, checkpoint, _ = self._past_second_checkpoint(13)
+        core = recovering.core
+        core.watchdog.counter, core.watchdog.fired = 5, True
+        before = _fields(core)
+        for name in ("cycles", "mem", "cfc"):
+            assert before[name] != checkpoint[name], name
+
+        assert recovering.rollback() is core
+        after = _fields(core)
+        assert after["cycles"] == before["cycles"]
+        assert after["mem"] == before["mem"]
+        assert core.cfc.snapshot() == (checkpoint["cfc"][0], before["cfc"][1])
+        assert after["watchdog"] == (0, False)
+        run_on = {"cycles", "mem", "cfc", "watchdog"}
+        for name in CoreSnapshot._fields:
+            if name not in run_on:
+                assert after[name] == checkpoint[name], name
+
+    def test_replays_the_same_records(self):
+        recovering, _, records = self._past_second_checkpoint(13)
+        recovering.rollback()
+        assert [recovering.core.step() for _ in records] == records
 
 
 class TestRecoveringCore:
@@ -102,7 +105,7 @@ class TestRecoveringCore:
             except Exception:
                 injector.disable()
                 recovering.rollbacks += 1
-                recovering._checkpoint.restore(core)
+                recovering.rollback()
                 continue
             recovering._maybe_checkpoint()
             steps += 1
@@ -133,7 +136,7 @@ class TestRecoveringCore:
             recovering.run(max_instructions=10_000)
         except UnrecoverableError:
             injector.disable()
-            recovering._checkpoint.restore(core)
+            recovering.rollback()
             result = recovering.run()
             assert result.halted
         assert core.load_word(embedded.program.addr_of("buf") + 4) == EXPECTED_SUM

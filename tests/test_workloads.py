@@ -10,7 +10,7 @@ import pytest
 from repro.cpu import CheckedCore, FastCore
 from repro.workloads import ALL_WORKLOADS, WORKLOADS, iter_analysis_targets
 from repro.workloads.gen import byte_directive, data_words, word_directive
-from repro.workloads.runner import measure_workload
+from repro.workloads.runner import measure_suite, measure_workload
 
 EXECUTED_SUBSET = ("adpcm_enc", "gsm", "rasta")
 
@@ -87,6 +87,16 @@ class TestExecution:
         core = FastCore(program)
         result = core.run()
         assert 1.05 < result.cpi < 1.8
+
+    def test_auto_workers_follow_the_campaign_rule(self, monkeypatch):
+        """``workers=0`` sizes the figure pool as campaigns size theirs."""
+        import repro.runner.pool
+
+        calls = []
+        monkeypatch.setattr(repro.runner.pool, "default_workers",
+                            lambda: calls.append(0) or 1)
+        assert measure_suite([], workers=0) == []
+        assert calls == [0]
 
 
 class TestGenerators:
