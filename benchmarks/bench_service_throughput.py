@@ -144,8 +144,7 @@ def run_measurement():
 def check_against_direct(warm):
     """The service answer must equal a direct in-process Campaign.run."""
     spec = warm["spec"]
-    campaign = Campaign(seed=spec["seed"], run_slack=spec["run_slack"],
-                        include_double_bits=spec["include_double_bits"],
+    campaign = Campaign(seed=spec["seed"],
                         use_checkpoints=spec["use_checkpoints"])
     direct = campaign.run(experiments=spec["experiments"],
                           duration=TRANSIENT, workers=1)

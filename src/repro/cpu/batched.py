@@ -52,7 +52,8 @@ from collections import namedtuple
 from repro.cpu.checkedcore import CheckedCore
 from repro.faults.execution import detection_loop, masking_loop
 from repro.faults.injector import SignalInjector
-from repro.faults.model import FaultSchedule, INTERMITTENT, PERMANENT, TRANSIENT
+from repro.faults.model import (FaultSchedule, INTERMITTENT, PERMANENT,
+                                RUN_SLACK, TRANSIENT)
 
 #: Fault durations the engine classifies (all of a campaign's).
 DURATIONS = (TRANSIENT, PERMANENT, INTERMITTENT)
@@ -66,7 +67,7 @@ class BatchedEngine:
     """Batch executor over one campaign's golden stream (see module doc).
 
     Built once per campaign from the campaign's prepared golden state:
-    trace, final state, checkpoint store and
+    trace, final masking view, checkpoint store and
     :class:`~repro.faults.timeline.MaskingTimeline`.  Lane cores come
     from :meth:`Campaign._new_core <repro.faults.campaign.Campaign._new_core>`
     and each :meth:`run_batch` call counts its work into
@@ -79,7 +80,7 @@ class BatchedEngine:
         self.golden_final = campaign._golden_final
         self.checkpoints = campaign.checkpoints()
         self.timeline = campaign.timeline()
-        self.limit = int(len(self.golden) * campaign.run_slack) + 64
+        self.limit = int(len(self.golden) * RUN_SLACK) + 64
         self._sweep = None
         self._pool = {False: [], True: []}
 

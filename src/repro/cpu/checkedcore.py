@@ -30,7 +30,8 @@ The core owns its state format: :meth:`CheckedCore.snapshot` returns a
 :class:`CoreSnapshot` and :meth:`CheckedCore.restore` writes one back
 bit-exact.  Golden-run checkpoints (:mod:`repro.faults.checkpoint`), the
 batched engine's sweep (:mod:`repro.cpu.batched`), the masking runs'
-reconvergence check (:meth:`CheckedCore.masking_view` against
+reconvergence check and final-state compare
+(:meth:`CheckedCore.masking_view` against
 :meth:`CoreSnapshot.masking_view`) and backward error recovery
 (:mod:`repro.argus.recovery`) all use that one object.
 """
@@ -720,15 +721,6 @@ class CheckedCore:
         """Functional data-memory word (no checking, no timing)."""
         return self.dmem.peek_word(address)
 
-    def architectural_state(self):
-        """(pc, flag, registers, memory snapshot) for masking analysis."""
-        return (
-            self.pc,
-            self.flag,
-            tuple(self.rf.values),
-            self.dmem.functional_snapshot(),
-        )
-
     # -- state ------------------------------------------------------------
     def snapshot(self):
         """The complete core state as a :class:`CoreSnapshot`.
@@ -770,7 +762,8 @@ class CheckedCore:
     def masking_view(self):
         """:meth:`CoreSnapshot.masking_view` of the live core, without
         paying for a capture (the reconvergence check runs it at every
-        checkpoint boundary of a masking run)."""
+        checkpoint boundary of a masking run, and the final-state compare
+        at halt)."""
         return (
             self.pc,
             self.flag,

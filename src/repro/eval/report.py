@@ -26,7 +26,8 @@ def generate_report(experiments=800, seed=0, stream=sys.stdout,
     """Run the complete evaluation; writes the report to ``stream``.
 
     ``workers`` fans the Table 1 campaigns and the Figure 5-7
-    measurements out across processes; ``telemetry`` takes a
+    measurements out across processes; ``workers=None`` runs the Table 1
+    plans in-process, with the same results.  ``telemetry`` takes a
     :mod:`repro.runner.telemetry` sink.
     """
     def emit(text=""):

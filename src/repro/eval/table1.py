@@ -28,9 +28,10 @@ def run_table1(experiments=1000, seed=0, telemetry=None, workers=None,
                journal=None, resume=False):
     """Run both campaigns; returns (rows, summaries).
 
-    ``workers``/``journal``/``resume`` select the parallel execution
-    engine (:mod:`repro.runner`); ``telemetry`` takes a
-    :mod:`repro.runner.telemetry` sink.
+    Each row is the seed's plan (:meth:`Campaign.run`): ``workers=None``
+    runs it in-process, ``workers`` > 1 across worker processes, with
+    the same results; ``journal``/``resume`` make it crash-safe and
+    ``telemetry`` takes a :mod:`repro.runner.telemetry` sink.
     """
     campaign = Campaign(seed=seed)
     summaries = campaign.run_both(experiments=experiments,

@@ -167,7 +167,7 @@ class FabricCoordinator:
                                          self.spec.experiments, duration,
                                          seed=self.spec.seed)
                  for duration in self.spec.durations()}
-        self._keys = {duration: plan_keys(digest, plan, self.spec.run_slack)
+        self._keys = {duration: plan_keys(digest, plan)
                       for duration, plan in plans.items()}
         journal = Journal(self.journal_path).load()
         journal.ensure_header({"fabric": "coordinator",

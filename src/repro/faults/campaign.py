@@ -38,18 +38,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import repro.cpu.batched  # here, not in the first batch: see _engine_or_none
-from repro.argus.errors import ArgusError
 from repro.cpu.checkedcore import CheckedCore
-from repro.faults.checkpoint import CheckpointStore, record_checkpoints
+from repro.faults.checkpoint import record_checkpoints
 from repro.faults.execution import detection_loop, masking_loop
 from repro.faults.injector import SignalInjector
-from repro.faults.model import FaultSchedule, PERMANENT, TRANSIENT
-from repro.faults.points import build_point_population, sample_points
+from repro.faults.model import FaultSchedule, PERMANENT, RUN_SLACK, TRANSIENT
+from repro.faults.points import build_point_population
 from repro.faults.stress import build_stress_program
 from repro.faults.timeline import MaskingTimeline
-
-#: Experiments per engine batch on the serial paths.
-BATCH_SIZE = 64
 
 
 def _event_attribution(event, latency):
@@ -140,23 +136,6 @@ class CampaignSummary:
         if self.keep_results:
             self.results.append(result)
 
-    def merge(self, other):
-        """Fold another summary (e.g. a worker shard) into this one."""
-        if other.duration != self.duration:
-            raise ValueError("cannot merge %r summary into %r"
-                             % (other.duration, self.duration))
-        self.total += other.total
-        for counter in ("unmasked_undetected", "unmasked_detected",
-                        "masked_undetected", "masked_detected"):
-            setattr(self, counter,
-                    getattr(self, counter) + getattr(other, counter))
-        for checker, count in other.checker_counts.items():
-            self.checker_counts[checker] = (
-                self.checker_counts.get(checker, 0) + count)
-        if self.keep_results:
-            self.results.extend(other.results)
-        return self
-
     def fractions(self):
         """Quadrant fractions (of all injections), as Table 1 reports."""
         if not self.total:
@@ -197,17 +176,17 @@ class Campaign:
     paths write identical records; ``tests/test_batched.py`` and
     ``tests/test_timeline_oracle.py`` check that differentially.
 
+    ``seed`` fixes the sample: :meth:`run` always executes the seed's
+    plan (:func:`repro.runner.plan.plan_campaign`).
+
     ``batched`` is accepted and ignored: the engine is always on.
     """
 
-    def __init__(self, embedded=None, seed=0, run_slack=1.25,
-                 include_double_bits=True, use_checkpoints=True,
+    def __init__(self, embedded=None, seed=0, use_checkpoints=True,
                  batched=None):
         self.embedded = embedded if embedded is not None else build_stress_program()
         self.seed = seed
-        self.rng = random.Random(seed)
-        self.points = build_point_population(include_double_bits=include_double_bits)
-        self.run_slack = run_slack
+        self.points = build_point_population()
         self.use_checkpoints = use_checkpoints
         self.reset_perf()
         self._timeline = None
@@ -244,35 +223,26 @@ class Campaign:
     def golden_trace(self):
         """Retire records of the fault-free run (computed once).
 
-        With checkpointing enabled the golden run executes with checkers
-        *on* and snapshots the complete core state every 64 instructions
-        as it goes.  A fault-free checkers-on run retires the identical
-        trace (checkers only observe), and one snapshot set then serves
-        both experiment phases; should a checker ever fire on it (an
-        embedding bug - ``false_positive_check`` exists to catch those),
-        checkpointing is disabled and the classic checkers-off golden run
-        is used.
+        On the fast path the golden run executes with checkers *on* and
+        snapshots the complete core state every 64 instructions as it
+        goes; a fault-free checkers-on run retires the identical trace
+        (checkers only observe), so one snapshot set serves both
+        experiment phases.  The reference path runs checkers off and
+        keeps no snapshots.  A checker that fires on the fault-free run
+        is an embedding bug (``false_positive_check`` exists to catch
+        those), and its error propagates.  The masking runs compare
+        their final state with the golden run's masking view at halt.
         """
         if self._golden is None:
+            core = CheckedCore(self.embedded, detect=self.use_checkpoints)
+            trace = []
             if self.use_checkpoints:
-                core = CheckedCore(self.embedded, detect=True)
-                store = CheckpointStore()
-                trace = []
-                try:
-                    record_checkpoints(core, store=store, trace=trace)
-                except ArgusError:
-                    self.use_checkpoints = False  # defensive fallback
-                else:
-                    self._golden = trace
-                    self._golden_final = core.architectural_state()
-                    self._checkpoints = store
-            if self._golden is None:
-                core = CheckedCore(self.embedded, detect=False)
-                trace = []
+                self._checkpoints = record_checkpoints(core, trace=trace)
+            else:
                 while not core.halted:
                     trace.append(core.step())
-                self._golden = trace
-                self._golden_final = core.architectural_state()
+            self._golden_final = core.snapshot().masking_view()
+            self._golden = trace
         return self._golden
 
     def checkpoints(self):
@@ -313,7 +283,7 @@ class Campaign:
         """Cold checkers-off run from instruction 0; returns (masked,
         activated_at, hung)."""
         golden = self.golden_trace()
-        limit = int(len(golden) * self.run_slack) + 64
+        limit = int(len(golden) * RUN_SLACK) + 64
         core, injector = self._new_core(spec, detect=False)
         schedule = FaultSchedule(spec, duration, inject_at)
         return masking_loop(core, injector, schedule, golden,
@@ -323,7 +293,7 @@ class Campaign:
         """Cold checkers-on run from instruction 0; returns (detected,
         event, hung)."""
         golden = self.golden_trace()
-        limit = int(len(golden) * self.run_slack) + 64
+        limit = int(len(golden) * RUN_SLACK) + 64
         core, injector = self._new_core(spec, detect=True)
         schedule = FaultSchedule(spec, duration, inject_at)
         return detection_loop(core, injector, schedule, golden, limit, 0)
@@ -383,16 +353,15 @@ class Campaign:
 
         The engine leans on the golden checkpoint store (sweep jumps,
         reconvergence views), on the golden checkers-on run being
-        detection-clean - both guaranteed exactly when ``golden_trace``
-        kept its checkpoints - and on :meth:`timeline`, its index of the
-        golden trace.  Its module and the timeline's are imported with
-        this one: where bytecode is not cached, compiling the engine
-        inside a service's first job raised the process's peak memory by
-        about 1 MB.
+        detection-clean (``golden_trace`` raises otherwise) and on
+        :meth:`timeline`, its index of the golden trace.  Its module and
+        the timeline's are imported with this one: where bytecode is not
+        cached, compiling the engine inside a service's first job raised
+        the process's peak memory by about 1 MB.
         """
         if self._engine is None:
             self.golden_trace()
-            if self._checkpoints is None:
+            if not self.use_checkpoints:
                 return None
             self._engine = repro.cpu.batched.BatchedEngine(self)
         return self._engine
@@ -414,11 +383,9 @@ class Campaign:
         return results
 
     # -- experiments ---------------------------------------------------------
-    def run_experiment(self, spec, duration, inject_at=None):
-        """Classify one fault; ``inject_at`` defaults to a draw from the
-        campaign's RNG stream."""
-        if inject_at is None:
-            inject_at = self.rng.randrange(0, self._inject_span())
+    def run_experiment(self, spec, duration, inject_at):
+        """Classify one fault injected at dynamic instruction
+        ``inject_at``."""
         return self._run_entries([(spec, duration, inject_at)])[0]
 
     def run_planned(self, planned):
@@ -429,10 +396,10 @@ class Campaign:
         """Run a list of PlannedExperiments as one engine batch.
 
         Every random choice (the injection instruction index) comes from
-        each experiment's own derived seed, never from the campaign's
-        shared stream, so an outcome depends only on the experiment's
-        identity - the keystone of worker-count-independent results -
-        and is the same for any grouping into batches.
+        each experiment's own derived seed, so an outcome depends only on
+        the experiment's identity - the keystone of
+        worker-count-independent results - and is the same for any
+        grouping into batches.
         """
         span = self._inject_span()
         return self._run_entries([
@@ -461,46 +428,24 @@ class Campaign:
             timeout=None, retries=2):
         """Run ``experiments`` weighted-sampled injections of one duration.
 
-        The default (``workers=None``, no journal) is the classic serial
-        path: experiments draw from the campaign's single RNG stream, so
-        repeated calls on one instance sample fresh experiments.
-
-        Passing ``workers`` (0 = one per CPU) or ``journal`` switches to
-        the planned engine (:mod:`repro.runner`): the experiment list is
-        derived deterministically from ``(self.seed, duration)``, fanned
-        out across worker processes, optionally journaled for
-        crash-safe ``resume``, and aggregated in plan order - the same
-        arguments always produce bit-identical summaries for any worker
-        count.  ``telemetry=`` feeds a :mod:`repro.runner.telemetry` sink
-        on both paths.
+        The experiment list is the seed's plan,
+        :func:`repro.runner.plan.plan_campaign` over ``(self.seed,
+        duration)``, executed by :func:`repro.runner.pool.execute_plan`:
+        in-process by default (``workers=None`` or 1), across worker
+        processes for ``workers`` > 1 (0 = one per CPU), optionally
+        journaled for crash-safe ``resume``, and aggregated in plan
+        order.  The same arguments give the same summary for any worker
+        count and on every call.  ``telemetry=`` feeds a
+        :mod:`repro.runner.telemetry` sink.
         """
         from repro.runner import execute_plan, plan_campaign
-        from repro.runner.telemetry import ProgressTracker, coerce_sink
-        from repro.runner.journal import result_to_record
 
-        sink = coerce_sink(telemetry)
-        if workers is not None or journal is not None:
-            plan = plan_campaign(self.points, experiments, duration,
-                                 seed=self.seed)
-            return execute_plan(
-                self, plan, workers=1 if workers is None else workers,
-                journal=journal, resume=resume, telemetry=sink,
-                keep_results=keep_results, timeout=timeout, retries=retries)
-
-        summary = CampaignSummary(duration=duration, keep_results=keep_results)
-        sampled = sample_points(self.points, experiments, self.rng)
-        tracker = ProgressTracker(sink, duration, experiments,
-                                  perf=self.perf_rates)
-        tracker.start()
-        span = self._inject_span()
-        entries = [(point.spec, duration, self.rng.randrange(0, span))
-                   for point in sampled]
-        for lo in range(0, len(entries), BATCH_SIZE):
-            for result in self._run_entries(entries[lo:lo + BATCH_SIZE]):
-                summary.add(result)
-                tracker.experiment(result_to_record(result))
-        tracker.finish()
-        return summary
+        plan = plan_campaign(self.points, experiments, duration,
+                             seed=self.seed)
+        return execute_plan(
+            self, plan, workers=1 if workers is None else workers,
+            journal=journal, resume=resume, telemetry=telemetry,
+            keep_results=keep_results, timeout=timeout, retries=retries)
 
     def run_both(self, experiments=1000, workers=None, journal=None,
                  resume=False, telemetry=None, keep_results=True,

@@ -22,6 +22,10 @@ def masking_loop(core, injector, schedule, golden, golden_final, limit,
     """Continue a checkers-off masking run; returns (masked, activated_at,
     hung).
 
+    ``golden_final`` is the golden run's masking view at halt
+    (:meth:`CoreSnapshot.masking_view
+    <repro.cpu.checkedcore.CoreSnapshot.masking_view>`), the projection
+    a run that halts on the golden step is compared through.
     ``reconverge`` (state transients only) early-exits as masked once the
     core re-matches the golden masking view at a checkpoint boundary.
     """
@@ -50,7 +54,7 @@ def masking_loop(core, injector, schedule, golden, golden_final, limit,
         return False, step, True  # still running: livelock
     if step != golden_len:
         return False, step, False  # halted early
-    if core.architectural_state() != golden_final:
+    if core.masking_view() != golden_final:
         return False, step, False
     return True, None, False
 

@@ -31,6 +31,12 @@ INTERMITTENT = "intermittent"
 INTERMITTENT_PERIOD = 40
 INTERMITTENT_BURST = 6
 
+#: A faulty run is bounded at ``len(golden) * RUN_SLACK + 64`` steps; one
+#: still running then is a livelock (unmasked, hung).  The bound fixes
+#: outcomes, so it is part of every experiment's content key
+#: (:func:`repro.service.store.experiment_key`).
+RUN_SLACK = 1.25
+
 
 @dataclass(frozen=True)
 class FaultSpec:

@@ -28,10 +28,12 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.faults.campaign import BATCH_SIZE
 from repro.runner.journal import (Journal, JournalError, record_to_result,
                                   result_to_record)
 from repro.runner.telemetry import ProgressTracker, coerce_sink
+
+#: Experiments per engine batch on the in-process path.
+BATCH_SIZE = 64
 
 #: Grace added to every timeout allowance (pool startup, IPC, imports).
 _TIMEOUT_GRACE = 30.0

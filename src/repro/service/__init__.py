@@ -5,8 +5,8 @@ fault-injection campaign, but the CLI runs each one from scratch.  This
 package turns the stack into a *server*: campaigns are submitted as
 jobs, run through the same :func:`repro.runner.execute_plan` as the
 CLI, and - crucially - **deduplicated**.  An experiment's outcome is a
-pure function of (binary, fault spec, duration, derived seed, run
-slack), so every experiment gets a content-address and identical
+pure function of (binary, fault spec, duration, derived seed), so
+every experiment gets a content-address and identical
 experiments across jobs are cache hits served from a SQLite store
 instead of being re-simulated.
 

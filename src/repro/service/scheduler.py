@@ -52,11 +52,13 @@ _TERMINAL = (DONE, FAILED)
 
 DURATION_CHOICES = ("transient", "permanent", "both")
 
-#: Spec fields of execution modes and speed knobs since removed.  Job
-#: documents written before then still carry them; they never entered a
-#: content key or a result, so loading such a document drops them.
+#: Spec fields since removed: execution modes, speed knobs, and options
+#: whose one value is now fixed (``run_slack`` 1.25, double-bit faults
+#: included).  Job documents written before then still carry them and
+#: load with them dropped; a submission naming one is refused.
 _RETIRED_SPEC_FIELDS = ("hybrid", "spot_check_rate", "batched", "batch_size",
-                        "checkpoint_interval")
+                        "checkpoint_interval", "run_slack",
+                        "include_double_bits")
 
 
 class SpecError(ValueError):
@@ -132,16 +134,13 @@ class CampaignSpec:
     experiments: int = 200
     duration: str = "both"
     seed: int = 0
-    run_slack: float = 1.25
-    include_double_bits: bool = True
     use_checkpoints: bool = True
     priority: int = 0
     plan_start: Optional[int] = None
     plan_stop: Optional[int] = None
 
     _FIELDS = ("workload", "source", "experiments", "duration", "seed",
-               "run_slack", "include_double_bits", "use_checkpoints",
-               "priority", "plan_start", "plan_stop")
+               "use_checkpoints", "priority", "plan_start", "plan_stop")
 
     @classmethod
     def from_dict(cls, payload):
@@ -176,8 +175,6 @@ class CampaignSpec:
                             % (DURATION_CHOICES,))
         if not isinstance(self.seed, int):
             raise SpecError("seed must be an int")
-        if not isinstance(self.run_slack, (int, float)) or self.run_slack <= 0:
-            raise SpecError("run_slack must be a positive number")
         if not isinstance(self.priority, int):
             raise SpecError("priority must be an int")
         if (self.plan_start is None) != (self.plan_stop is None):
@@ -221,8 +218,6 @@ class CampaignSpec:
         else:
             embedded = WORKLOADS[self.workload].build_embedded()
         return Campaign(embedded=embedded, seed=self.seed,
-                        run_slack=self.run_slack,
-                        include_double_bits=self.include_double_bits,
                         use_checkpoints=self.use_checkpoints)
 
 
@@ -517,7 +512,7 @@ class JobScheduler:
         """Run ``job``; returns the ``(key, campaign)`` its runner thread
         keeps.  ``last`` is the pair kept from the thread's previous job:
         its prepared campaign serves this job too, counters zeroed, when
-        the binary and run settings match.  The seed is not in the key,
+        the binary and the path match.  The seed is not in the key,
         as each job is planned with its own; threads never share a
         campaign, as its engine is not thread-safe."""
         with self._lock:
@@ -525,8 +520,7 @@ class JobScheduler:
             job.started = job.started or time.time()
             self._persist(job)
         spec = job.spec
-        key = (spec.workload, spec.source, spec.run_slack,
-               spec.include_double_bits, spec.use_checkpoints)
+        key = (spec.workload, spec.source, spec.use_checkpoints)
         if last is not None and last[0] == key:
             campaign = last[1]
             campaign.reset_perf()
@@ -573,7 +567,7 @@ class JobScheduler:
         """One duration of one job: cache, then ``execute_plan`` for
         the misses."""
         journal.register_plan(plan)
-        keys = plan_keys(digest, plan, job.spec.run_slack)
+        keys = plan_keys(digest, plan)
 
         done = journal.done_ids(plan)
         if done:

@@ -2,8 +2,10 @@
 
 An experiment's classification is a pure function of its inputs: the
 embedded binary, the fault spec, the duration, the per-experiment
-derived RNG seed (which fixes the injection instruction), and the run
-slack bound.  Checkpointing and worker count are provably
+derived RNG seed (which fixes the injection instruction), and the fixed
+run bound (:data:`repro.faults.model.RUN_SLACK`, which stays in the key
+so that keys written before it was fixed still match).  Checkpointing
+and worker count are provably
 classification-neutral (``tests/test_checkpoint.py``,
 ``tests/test_campaign_parallel.py``), so they stay *out* of the key.
 That makes the key a true content-address: any two jobs - today or
@@ -32,6 +34,8 @@ import sqlite3
 import threading
 import time
 
+from repro.faults.model import RUN_SLACK
+
 SCHEMA_VERSION = 1
 
 KEY_NAMESPACE = "argus-exp/v1"
@@ -57,18 +61,18 @@ def binary_digest(embedded):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def experiment_key(digest, planned, run_slack):
+def experiment_key(digest, planned):
     """Content-address of one planned experiment over one binary."""
     spec = planned.spec
     key = "%s|%s|%s|%s|%s|%s|%s|%d|%s" % (
         KEY_NAMESPACE, digest, planned.duration, spec.target, spec.mask,
-        spec.index, spec.is_state, planned.seed, repr(float(run_slack)))
+        spec.index, spec.is_state, planned.seed, repr(float(RUN_SLACK)))
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
-def plan_keys(digest, plan, run_slack):
+def plan_keys(digest, plan):
     """``{experiment_id: content key}`` for every experiment of a plan."""
-    return {exp.experiment_id: experiment_key(digest, exp, run_slack)
+    return {exp.experiment_id: experiment_key(digest, exp)
             for exp in plan.experiments}
 
 

@@ -365,9 +365,9 @@ def test_experiment_keys_ignore_batched_knobs():
     campaign = specs[1].build_campaign()
     plan = plan_campaign(campaign.points, 10, TRANSIENT, seed=2)
     digest = "0" * 64
-    assert plan_keys(digest, plan, 1.25) == plan_keys(
+    assert plan_keys(digest, plan) == plan_keys(
         digest, plan_campaign(specs[0].build_campaign().points, 10,
-                              TRANSIENT, seed=2), 1.25)
+                              TRANSIENT, seed=2))
 
 
 # -- perf counters / telemetry ---------------------------------------------

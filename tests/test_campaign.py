@@ -1,12 +1,15 @@
 """Tests for the fault-injection campaign orchestration and classification."""
 
+import dataclasses
 import gc
 import weakref
 
 import pytest
 
+from repro.argus.errors import ControlFlowError
 from repro.faults.campaign import Campaign, CampaignSummary, ExperimentResult
 from repro.faults.model import PERMANENT, TRANSIENT, FaultSpec
+from repro.faults.stress import build_stress_program
 from repro.isa.decode import _DECODE_CACHE, DecodeError, decode_cached
 from repro.toolchain import embed_program
 
@@ -42,6 +45,16 @@ class TestGolden:
 
     def test_false_positive_check(self, campaign):
         assert campaign.false_positive_check(runs=2) == 2
+
+    def test_false_positive_in_the_golden_run_raises(self):
+        """A checker that fires on the fault-free run is an embedding bug:
+        the golden run raises it rather than switching paths."""
+        stress = build_stress_program()
+        broken = dataclasses.replace(stress, entry_dcs=stress.entry_dcs ^ 1)
+        campaign = Campaign(embedded=broken)
+        with pytest.raises(ControlFlowError):
+            campaign.golden_trace()
+        assert campaign.use_checkpoints
 
 
 class TestClassification:

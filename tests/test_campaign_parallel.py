@@ -61,6 +61,24 @@ class TestDeterminism:
         assert (list(serial.checker_counts.items())
                 == list(parallel.checker_counts.items()))
 
+    @pytest.mark.parametrize("duration", [TRANSIENT, PERMANENT])
+    def test_one_answer_per_seed(self, duration):
+        """Without ``workers`` or ``journal``, ``run`` executes the seed's
+        plan: its records equal one and two workers' and repeat on a
+        second call to the same instance."""
+        def records(summary):
+            return [result_to_record(result) for result in summary.results]
+
+        def run(**kwargs):
+            return Campaign(embedded=embed_program(SMALL), seed=11).run(
+                EXPERIMENTS, duration, **kwargs)
+
+        default = Campaign(embedded=embed_program(SMALL), seed=11)
+        first = records(default.run(EXPERIMENTS, duration))
+        assert first == records(run(workers=1))
+        assert first == records(run(workers=2))
+        assert records(default.run(EXPERIMENTS, duration)) == first
+
     def test_planned_path_is_repeatable_on_one_instance(self, campaign):
         first = campaign.run(experiments=EXPERIMENTS, duration=TRANSIENT,
                              workers=1)

@@ -100,7 +100,7 @@ def _full_state(core):
         "scalars": (core.pc, core.flag, core.cfc_flag, core.cycles,
                     core.instret, core.block_index, core.halted, core.hung,
                     core._in_delay, core._delayed_target, core._pending_term),
-        "arch": core.architectural_state(),
+        "functional": core.dmem.functional_snapshot(),
         "rf": core.rf.snapshot(),
         "shs": core.shs.snapshot(),
         "cfc": core.cfc.snapshot(),

@@ -206,7 +206,7 @@ class TestPointPopulation:
         first = Campaign(embedded=embedded, seed=1).points
         assert isinstance(first, tuple)
         assert Campaign(embedded=embedded, seed=2).points is first
-        singles = Campaign(embedded=embedded, include_double_bits=False).points
+        singles = build_point_population(include_double_bits=False)
         assert singles is not first
         assert singles is build_point_population(include_double_bits=False)
 

@@ -354,19 +354,3 @@ class TestStreamingSummary:
         assert summary.results == []
         assert summary.checker_counts == {"parity": 2}
         assert summary.unmasked_detected == 2
-
-    def test_merge_accumulates_counters_and_results(self):
-        a = CampaignSummary(duration=TRANSIENT)
-        b = CampaignSummary(duration=TRANSIENT)
-        a.add(_result(detected=True))
-        b.add(_result(detected=True))
-        b.add(_result(detected=False))
-        a.merge(b)
-        assert a.total == 3
-        assert a.checker_counts == {"parity": 2}
-        assert len(a.results) == 3
-
-    def test_merge_rejects_duration_mismatch(self):
-        with pytest.raises(ValueError):
-            CampaignSummary(duration=TRANSIENT).merge(
-                CampaignSummary(duration=PERMANENT))

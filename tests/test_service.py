@@ -21,6 +21,8 @@ import pytest
 from repro.faults import campaign as campaign_mod
 from repro.faults.campaign import Campaign
 from repro.faults.model import TRANSIENT
+from repro.faults.points import build_point_population
+from repro.faults.stress import build_stress_program
 from repro.runner import (Journal, execute_plan, plan_campaign,
                           result_to_record)
 from repro.runner import pool as pool_mod
@@ -120,11 +122,18 @@ class TestStore:
         campaign = Campaign(embedded=embedded, seed=SEED)
         plan = plan_campaign(campaign.points, 4, TRANSIENT, seed=SEED)
         exp = plan.experiments[0]
-        key = experiment_key(digest, exp, 1.25)
-        assert key == experiment_key(digest, exp, 1.25)
-        assert key != experiment_key(digest, exp, 1.5)  # slack is outcome-relevant
-        assert key != experiment_key("0" * 64, exp, 1.25)
-        assert key != experiment_key(digest, plan.experiments[1], 1.25)
+        key = experiment_key(digest, exp)
+        assert key == experiment_key(digest, exp)
+        assert key != experiment_key("0" * 64, exp)
+        assert key != experiment_key(digest, plan.experiments[1])
+
+    def test_experiment_key_is_pinned(self):
+        # Recorded before the run bound became a constant: stores written
+        # then keep serving hits.
+        plan = plan_campaign(build_point_population(), 4, TRANSIENT, seed=7)
+        digest = binary_digest(build_stress_program())
+        assert experiment_key(digest, plan.experiments[0]) == (
+            "05044d32a6ec133faefd44008dbc71ff2a42562c4d29681fb72ce90d2bccf8fb")
 
     def test_journal_import_export_roundtrip(self, tmp_path):
         campaign = Campaign(embedded=embed_program(SMALL), seed=SEED)
@@ -133,7 +142,7 @@ class TestStore:
         campaign.run(experiments=6, duration=TRANSIENT, workers=1,
                      journal=journal_path)
         digest = binary_digest(campaign.embedded)
-        keys = plan_keys(digest, plan, campaign.run_slack)
+        keys = plan_keys(digest, plan)
 
         store = ResultStore(str(tmp_path / "store.sqlite"))
         assert store.import_journal(journal_path, keys) == 6
@@ -178,6 +187,17 @@ class TestSpec:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"bogus_field": 1})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("name, value", [("run_slack", 1.25),
+                                             ("include_double_bits", True)])
+    def test_http_submit_refuses_retired_fields(self, service, name, value):
+        # Persisted job documents that carry them still load (see
+        # TestRecovery); a new submission naming one is refused.
+        client, _scheduler, _store = service
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(small_spec(), **{name: value}))
+        assert excinfo.value.status == 400
+        assert name in str(excinfo.value)
 
 
 # -- end-to-end over a real socket ------------------------------------------
@@ -537,7 +557,7 @@ class TestRecovery:
         # The synthesized record stays out of the shared cache.
         campaign = CampaignSpec.from_dict(small_spec()).build_campaign()
         plan = plan_campaign(campaign.points, 6, TRANSIENT, seed=SEED)
-        keys = plan_keys(binary_digest(campaign.embedded), plan, 1.25)
+        keys = plan_keys(binary_digest(campaign.embedded), plan)
         assert [store.get(keys[eid]) is not None for eid in plan.ids] \
             == [False] + [True] * 5
         store.close()
