@@ -26,7 +26,7 @@ from a campaign's golden run).
 """
 
 from repro.analysis.dataflow import FLAG, instr_reads, instr_writes
-from repro.faults.model import PERMANENT, TRANSIENT
+from repro.faults.model import INJECT_FRACTION, PERMANENT, TRANSIENT
 from repro.faults.timeline import MaskingTimeline, TimelineVerdict
 from repro.isa import registers
 
@@ -132,8 +132,9 @@ def check_dead_writes(cfg, report):
 # ---------------------------------------------------------------------------
 
 def _probe_times(length, samples=5):
-    """Stratified injection times over the campaign's [0, 0.85*len) window."""
-    horizon = max(int(length * 0.85), 1)
+    """Stratified injection times over the campaign's injection window,
+    ``[0, INJECT_FRACTION * length)``."""
+    horizon = max(int(length * INJECT_FRACTION), 1)
     if samples <= 1 or horizon == 1:
         return [0]
     times = sorted({(i * (horizon - 1)) // (samples - 1)

@@ -34,7 +34,9 @@ warm-starts each lane into the exact scalar loops of
 :mod:`repro.faults.execution`.  From that instant on the lane is the
 scalar path, so classification is identical to ``Campaign._execute`` by
 construction, not by re-implementation.  Transient, permanent and
-intermittent faults all take this path.
+intermittent faults all take this path.  The loops get the golden
+checkpoint store, so a lane whose transient is disarmed ends as soon as
+its state re-matches a golden checkpoint (reconvergence).
 
 The per-instruction fetch/decode/issue work of the golden stream is thus
 paid once per *batch* (the sweep) instead of once per experiment.  The
@@ -133,7 +135,7 @@ class BatchedEngine:
             # A dormant state flip rides in from the sweep capture
             # untouched, so its natural first application lands at the
             # materialization step - but it must land *before* the
-            # masking loop's entry-step reconvergence probe, which would
+            # loops' entry-step reconvergence probe, which would
             # otherwise match a core still missing the flip against the
             # golden view.
             schedule.before_step(lane.mat_step, injector, core)
@@ -142,18 +144,21 @@ class BatchedEngine:
             outcome = detection_loop(core, injector, schedule, self.golden,
                                      self.limit, lane.mat_step,
                                      base_cycle=base_cycle,
-                                     base_block=base_block)
+                                     base_block=base_block,
+                                     store=self.checkpoints)
+            clean = (False, None, False)
         else:
-            # Signal transients stay armed until their first architectural
-            # impact (which ends the run), so only state transients -
-            # their one-shot flip behind them once applied - can prove a
-            # golden tail by view equality at a checkpoint boundary.
-            reconverge = lane.duration == TRANSIENT and lane.spec.is_state
             outcome = masking_loop(core, injector, schedule, self.golden,
                                    self.golden_final, self.limit,
-                                   lane.mat_step, store=self.checkpoints,
-                                   reconverge=reconverge)
-        self.campaign.perf["lane_instructions"] += core.instret - lane.mat_step
+                                   lane.mat_step, store=self.checkpoints)
+            clean = (True, None, False)
+        perf = self.campaign.perf
+        perf["lane_instructions"] += core.instret - lane.mat_step
+        if (outcome == clean and not core.halted
+                and core.instret < self.limit):
+            # Ended clean short of halt and of the run bound: only the
+            # loops' reconvergence check stops a lane there.
+            perf["reconverged_lanes"] += 1
         self._pool[detect].append(core)
         return outcome
 

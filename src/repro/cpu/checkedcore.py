@@ -32,7 +32,9 @@ bit-exact.  Golden-run checkpoints (:mod:`repro.faults.checkpoint`), the
 batched engine's sweep (:mod:`repro.cpu.batched`), the masking runs'
 reconvergence check and final-state compare
 (:meth:`CheckedCore.masking_view` against
-:meth:`CoreSnapshot.masking_view`) and backward error recovery
+:meth:`CoreSnapshot.masking_view`), the detection runs' reconvergence
+check (:meth:`CheckedCore.detection_view` against
+:meth:`CoreSnapshot.detection_view`) and backward error recovery
 (:mod:`repro.argus.recovery`) all use that one object.
 """
 
@@ -152,6 +154,61 @@ class CoreSnapshot(namedtuple("CoreSnapshot", (
             self.pending_term[0] if self.pending_term is not None else None,
             self.collector,
             CheckedMemory.snapshot_stored_pages(self.dmem),
+        )
+
+    def detection_view(self):
+        """The outcome-relevant projection for a checkers-on core.
+
+        Two cores whose detection views are equal, and on which no fault
+        can act any more, retire the same records, raise the same alarms
+        (none, when one of them is the golden run) and halt at the same
+        step.  The view covers everything a ``detect=True`` step reads
+        to decide a record, an alarm or the next state: pc, flag, the
+        CFC's verified flag copy, ``halted``, ``hung``, delay-slot
+        sequencing with the whole pending terminal (kind, checker-taken
+        flag, indirect DCS), register values and parity, the SHS file,
+        the CFC's expected DCS, the payload collector, and protected
+        memory's stored words and parity bits.  Memory enters as its two
+        page tables, whose pages shared with the other side compare by
+        identity, so the view costs O(pages).
+
+        Left out, because no later outcome reads them:
+
+        * ``cycles``, ``block_index`` and the CFC's ``blocks_checked``
+          only stamp an alarm's event; the step count is the same on
+          both sides by construction (a lane is compared with the
+          checkpoint of its own step).
+        * Cache tags, LRU state and stats only time the run: a cache
+          access returns a latency, never data.  A latency becomes
+          cycles and one instruction's stall, and the only reader of a
+          stall is the watchdog, which fires at 63 stall cycles.  Under
+          ``MemoryConfig.paper()`` and the default ``Timing`` one
+          instruction stalls at most 20 + max(20, 32, 2) = 52 cycles (an
+          I-cache miss plus the largest of a D-cache miss with
+          write-back, a divide and a multiply);
+          ``tests/test_checkedcore.py::TestStallBound`` asserts that
+          bound and that a golden run stays within it.
+        * The watchdog: its counter restarts every instruction (each
+          step ticks it unstalled before counting that step's stall),
+          and nothing reads ``fired``.
+
+        :meth:`CheckedCore.detection_view` is the same projection of a
+        live core.
+        """
+        return (
+            self.pc,
+            self.flag,
+            self.cfc_flag,
+            self.halted,
+            self.hung,
+            self.in_delay,
+            self.delayed_target,
+            self.pending_term,
+            self.rf,
+            self.shs,
+            self.cfc[0],
+            self.collector,
+            self.dmem,
         )
 
     def flat(self):
@@ -774,4 +831,24 @@ class CheckedCore:
             self._pending_term[0] if self._pending_term is not None else None,
             self.collector.snapshot(),
             self.dmem.stored_pages(),
+        )
+
+    def detection_view(self):
+        """:meth:`CoreSnapshot.detection_view` of the live core, without
+        paying for a capture (the detection runs' reconvergence check
+        runs it at every checkpoint boundary of a disarmed lane)."""
+        return (
+            self.pc,
+            self.flag,
+            self.cfc_flag,
+            self.halted,
+            self.hung,
+            self._in_delay,
+            self._delayed_target,
+            self._pending_term,
+            self.rf.snapshot(),
+            self.shs.snapshot(),
+            self.cfc.expected,
+            self.collector.snapshot(),
+            self.dmem.page_tables(),
         )

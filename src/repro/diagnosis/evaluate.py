@@ -17,7 +17,7 @@ import zlib
 
 from repro.diagnosis.localize import build_family_profiles, diagnose_records
 from repro.faults.campaign import Campaign
-from repro.faults.model import TRANSIENT
+from repro.faults.model import INJECT_FRACTION, TRANSIENT
 
 from repro.analysis.coverage import build_static_coverage_map
 from repro.workloads import iter_analysis_targets
@@ -47,7 +47,7 @@ def evaluate_family(campaign, profiles, target, index, seed,
     if not specs:
         return None
     rng = random.Random(seed)
-    horizon = max(int(campaign.golden_length * 0.85), 1)
+    horizon = max(int(campaign.golden_length * INJECT_FRACTION), 1)
     detected = []
     attempts = 0
     while len(detected) < detections_target and attempts < max_attempts:

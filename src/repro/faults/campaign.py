@@ -42,7 +42,8 @@ from repro.cpu.checkedcore import CheckedCore
 from repro.faults.checkpoint import record_checkpoints
 from repro.faults.execution import detection_loop, masking_loop
 from repro.faults.injector import SignalInjector
-from repro.faults.model import FaultSchedule, PERMANENT, RUN_SLACK, TRANSIENT
+from repro.faults.model import (FaultSchedule, INJECT_FRACTION, PERMANENT,
+                                RUN_SLACK, TRANSIENT)
 from repro.faults.points import build_point_population
 from repro.faults.stress import build_stress_program
 from repro.faults.timeline import MaskingTimeline
@@ -208,6 +209,7 @@ class Campaign:
             "evicted_lanes": 0,
             "sweep_instructions": 0,
             "lane_instructions": 0,
+            "reconverged_lanes": 0,  # lanes ended at a golden checkpoint
             "pool_retries": 0,  # pool passes re-run after a crash or hang
         }
 
@@ -267,7 +269,7 @@ class Campaign:
 
     def _inject_span(self):
         """Injection instructions are drawn from ``[0, span)``."""
-        return max(int(self.golden_length * 0.85), 1)
+        return max(int(self.golden_length * INJECT_FRACTION), 1)
 
     # -- scalar phases -------------------------------------------------------
     def _new_core(self, spec, detect):

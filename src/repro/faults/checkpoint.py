@@ -93,15 +93,10 @@ class CheckpointStore:
         return self._by_step[self._steps[index - 1]] if index else None
 
     def at(self, step):
-        """The checkpoint captured exactly at ``step``, or None."""
+        """The checkpoint captured exactly at ``step``, or None.  The
+        reconvergence checks compare its masking or detection view
+        (:class:`~repro.cpu.checkedcore.CoreSnapshot`) with a lane's."""
         return self._by_step.get(step)
-
-    def masking_view_at(self, step):
-        """:meth:`~repro.cpu.checkedcore.CoreSnapshot.masking_view` of the
-        ``step`` checkpoint, or None.  Not cached: the view costs
-        O(pages)."""
-        snapshot = self._by_step.get(step)
-        return None if snapshot is None else snapshot.masking_view()
 
 
 def record_checkpoints(core, store=None, interval=None, max_checkpoints=None,

@@ -11,30 +11,37 @@ by construction rather than by re-implementation.
 
 Both loops continue a run already positioned at ``step``: the caller has
 either cold-started the core (the reference path) or materialized it
-mid-flight from the batch sweep's live golden core.
+mid-flight from the batch sweep's live golden core.  The engine also
+passes the golden checkpoint store, against which a run whose fault is
+disarmed ends by reconvergence; the reference path passes none.
 """
 
 from repro.argus.errors import ArgusError
 
 
 def masking_loop(core, injector, schedule, golden, golden_final, limit,
-                 step, store=None, reconverge=False):
+                 step, store=None):
     """Continue a checkers-off masking run; returns (masked, activated_at,
     hung).
 
     ``golden_final`` is the golden run's masking view at halt
     (:meth:`CoreSnapshot.masking_view
     <repro.cpu.checkedcore.CoreSnapshot.masking_view>`), the projection
-    a run that halts on the golden step is compared through.
-    ``reconverge`` (state transients only) early-exits as masked once the
-    core re-matches the golden masking view at a checkpoint boundary.
+    a run that halts on the golden step is compared through.  With the
+    golden checkpoint ``store``, a run whose fault is
+    :attr:`~repro.faults.model.FaultSchedule.disarmed` (in a masking run,
+    an applied state transient: a signal transient's removal ends the
+    run) early-exits as masked once the core re-matches a checkpoint's
+    masking view.
     """
     inject_at = schedule.inject_at
     golden_len = len(golden)
     while not core.halted and step < limit:
-        if reconverge and step > inject_at and step % store.interval == 0:
-            view = store.masking_view_at(step)
-            if view is not None and view == core.masking_view():
+        if (store is not None and step > inject_at
+                and step % store.interval == 0 and schedule.disarmed):
+            snapshot = store.at(step)
+            if (snapshot is not None
+                    and snapshot.masking_view() == core.masking_view()):
                 return True, None, False  # reconverged: tail == golden
         schedule.before_step(step, injector, core)
         record = core.step()
@@ -60,7 +67,7 @@ def masking_loop(core, injector, schedule, golden, golden_final, limit,
 
 
 def detection_loop(core, injector, schedule, golden, limit, step,
-                   base_cycle=0, base_block=0):
+                   base_cycle=0, base_block=0, store=None):
     """Continue a checkers-on detection run; returns (detected, event,
     hung).
 
@@ -71,6 +78,12 @@ def detection_loop(core, injector, schedule, golden, limit, step,
     the caller enters past it (a batched lane materialized after a
     dormant period); entering at or before ``inject_at`` they are
     captured by the loop itself, exactly as the scalar path always has.
+
+    With the golden checkpoint ``store``, a run whose fault is
+    :attr:`~repro.faults.model.FaultSchedule.disarmed` ends undetected
+    once the core re-matches a checkpoint's detection view
+    (:meth:`~repro.cpu.checkedcore.CoreSnapshot.detection_view`): from
+    there it is the golden run, which is detection-clean and halts.
     """
     inject_at = schedule.inject_at
     golden_len = len(golden)
@@ -81,6 +94,12 @@ def detection_loop(core, injector, schedule, golden, limit, step,
             if step == inject_at:
                 base_cycle = core.cycles
                 base_block = core.block_index
+            if (store is not None and step > inject_at
+                    and step % store.interval == 0 and schedule.disarmed):
+                snapshot = store.at(step)
+                if (snapshot is not None and snapshot.detection_view()
+                        == core.detection_view()):
+                    return False, None, False  # reconverged: tail == golden
             schedule.before_step(step, injector, core)
             record = core.step()
             if record is None:

@@ -37,6 +37,13 @@ INTERMITTENT_BURST = 6
 #: (:func:`repro.service.store.experiment_key`).
 RUN_SLACK = 1.25
 
+#: Injection instructions are drawn from the first ``INJECT_FRACTION`` of
+#: the golden run (:meth:`Campaign._inject_span
+#: <repro.faults.campaign.Campaign._inject_span>`), so every fault has a
+#: tail in which to act.  The diagnosis evaluation and the timeline
+#: audit's probe times sample the same window.
+INJECT_FRACTION = 0.85
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -164,6 +171,19 @@ class FaultSchedule:
                         if spec.is_state else None)
         self._removed = False
         self._applied_once = False
+
+    @property
+    def disarmed(self):
+        """True once the fault can no longer act on the run: a transient
+        whose state flip has been applied (the engine's pre-apply of a
+        dormant flip included), or a signal transient removed at its
+        first divergence.  Permanent and intermittent faults never
+        disarm.  From then on the run is fault-free, so one whose state
+        equals a golden checkpoint's is the golden run."""
+        if self.duration != TRANSIENT:
+            return False
+        return self._removed or (self.applier is not None
+                                 and self._applied_once)
 
     def _in_burst(self, step):
         phase = (step - self.inject_at) % INTERMITTENT_PERIOD

@@ -245,6 +245,7 @@ class MaskingTimeline:
         self._unknown = unknown
         self._word_steps = None
         self._canon_memo = {}
+        self._call_memo = {}
 
     # -- table construction helpers ------------------------------------
     def _branch_category(self, step, instr, effective, records):
@@ -302,28 +303,58 @@ class MaskingTimeline:
     def _has_unknown(self, t):
         return bool(self._unknown) and _next_in(self._unknown, t) is not None
 
+    def _next_link_call(self, t):
+        """First golden call whose block end tags r9 at a step >= ``t``,
+        or None: the first call at a step >= ``t - 1``.
+
+        Link tagging (``CheckedCore._end_block``) is the one path by
+        which the core reads and rewrites r9, and by which the checker's
+        instruction copy reaches architecture, outside the retire
+        records.  A call at step ``c`` ends its block in its delay slot,
+        so the tagging runs at the end of step ``c + 1``, after a fault
+        injected at ``c + 1`` has landed; hence the one-step look-back.
+        """
+        return self.next_site("call", t - 1)
+
+    def _first_word_step(self, memo, test, mask, t):
+        """First step >= ``t`` that retires a word ``w`` with
+        ``test(w, mask)``, or None.
+
+        The matching words' step lists are memoized per mask in
+        ``memo``; the steps come from one per-word index of the trace.
+        """
+        matching = memo.get(mask)
+        if matching is None:
+            if self._word_steps is None:
+                self._word_steps = {}
+                for step, word in enumerate(self._words):
+                    if word is not None:
+                        self._word_steps.setdefault(word, []).append(step)
+            matching = memo[mask] = [
+                steps for word, steps in self._word_steps.items()
+                if test(word, mask)]
+        nexts = [step for step in (_next_in(steps, t) for steps in matching)
+                 if step is not None]
+        return min(nexts) if nexts else None
+
     def _next_canon_change(self, mask, t):
         """First step >= ``t`` whose word changes canonically under
         ``mask``, or None.
 
         A word "changes canonically" when XOR-ing the mask alters its
         canonical (spare-bits-cleared) decoding - including becoming or
-        ceasing to be decodable.  The changed words are memoized per
-        mask; the steps come from one per-word index of the trace.
+        ceasing to be decodable.
         """
-        changed = self._canon_memo.get(mask)
-        if changed is None:
-            if self._word_steps is None:
-                self._word_steps = {}
-                for step, word in enumerate(self._words):
-                    if word is not None:
-                        self._word_steps.setdefault(word, []).append(step)
-            changed = self._canon_memo[mask] = [
-                steps for word, steps in self._word_steps.items()
-                if _canon_changes(word, mask)]
-        nexts = [step for step in (_next_in(steps, t) for steps in changed)
-                 if step is not None]
-        return min(nexts) if nexts else None
+        return self._first_word_step(self._canon_memo, _canon_changes,
+                                     mask, t)
+
+    def _next_call_copy(self, mask, t):
+        """First golden branch step >= ``t`` whose word decodes to
+        ``JAL`` or ``JALR`` once XOR-ed with ``mask``, or None: there a
+        corrupted checker copy gives the block a call terminal, whose
+        block end tags r9."""
+        return self._first_word_step(self._call_memo, _becomes_call,
+                                     mask, t)
 
     # -- the verdict calculus ------------------------------------------
     def verdict(self, spec, duration=TRANSIENT, inject_at=0, double_bit=None):
@@ -383,6 +414,13 @@ def _canon_changes(word, mask):
     if base is None or flipped is None:
         return base is not flipped
     return canonical_word(base) != canonical_word(flipped)
+
+
+def _becomes_call(word, mask):
+    base = decode_or_none(word)
+    flipped = decode_or_none((word ^ mask) & WORD_MASK)
+    return (base is not None and base.is_branch
+            and flipped is not None and flipped.is_call)
 
 
 # -- per-target handlers (module-level so the dispatch table is data) ----
@@ -626,9 +664,10 @@ def _h_rf_value(tl, spec, duration, t, double_bit):
     if reg == registers.ZERO_REG:
         # The state applier skips the hard-wired zero register.
         return TimelineVerdict(True, False, start=t, rule="rf-zero")
-    if reg == registers.LINK_REG:
+    if reg == registers.LINK_REG and tl._next_link_call(t) is not None:
         # Block-boundary link tagging reads and rewrites r9 outside the
-        # decoded instruction stream: no sound window analysis.
+        # decoded instruction stream: no sound window analysis.  With no
+        # tagging ahead, r9 is an ordinary register.
         return _unknown(t)
     read = tl.next_read(reg, t)
     write = tl.next_write(reg, t)
@@ -660,7 +699,7 @@ def _h_rf_parity(tl, spec, duration, t, double_bit):
     if reg == registers.ZERO_REG:
         return TimelineVerdict(True, False, start=t, rule="rf-zero")
     # Parity bits are metadata: never in records or architectural state.
-    if reg == registers.LINK_REG:
+    if reg == registers.LINK_REG and tl._next_link_call(t) is not None:
         # Link tagging rewrites r9 (and its parity) outside the decoded
         # stream, so only the masking axis is provable.
         return TimelineVerdict(True, None, start=t, rule="rf-parity-link")
@@ -681,8 +720,8 @@ def _h_rf_parity(tl, spec, duration, t, double_bit):
 
 def _dormant_until(duration, read, t):
     """Start of a register-file lane whose cell is read before it is
-    written (never r9, which block-end DCS tagging rewrites outside the
-    retire records).
+    written (r9 only with no link tagging ahead: block-end DCS tagging
+    rewrites it outside the retire records).
 
     A transient flip rides along dormant until that read: nothing
     touches the cell between injection and the read, so applying the
@@ -707,7 +746,7 @@ def _h_id_word_fu(tl, spec, duration, t, double_bit):
 
 def _h_id_word_chk(tl, spec, duration, t, double_bit):
     step = tl._next_canon_change(spec.mask, t)
-    call = tl.next_site("call", t)
+    call = tl._next_link_call(t)
     if step is None:
         if call is None:
             # Canonically invisible and no call-link payload to corrupt:
@@ -716,10 +755,23 @@ def _h_id_word_chk(tl, spec, duration, t, double_bit):
                                    rule="decode-chk/spare")
         return _unknown(t)
     sig = tl.next_site("sig", t)
+    detected = None
     if (call is None or step <= call) and (sig is None or sig >= step):
         # No architectural side path (call-link tagging) and no raw-word
         # terminator test (SIG spare bits) can act before the canonical
         # cross-check raises at ``step``.
+        detected = True
+    if call is None and tl._next_call_copy(spec.mask, t) is None:
+        # With checkers off the chk copy reaches architecture only
+        # through a branch's terminal kind: a call kind tags r9 at its
+        # block end.  No golden call lies ahead and no branch copy turns
+        # into one; a SIG terminator test only moves block ends, and the
+        # collector is reset at halt.
+        return TimelineVerdict(
+            True, detected, start=t,
+            checker=CHECKER_COMPUTATION if detected else None,
+            rule="decode-chk/no-call")
+    if detected:
         return TimelineVerdict(None, True, start=t,
                                checker=CHECKER_COMPUTATION, rule="decode-chk")
     return _unknown(t)
@@ -736,8 +788,7 @@ def _h_id_word_shs(tl, spec, duration, t, double_bit):
 
 def _h_if_inst(tl, spec, duration, t, double_bit):
     step = tl._next_canon_change(spec.mask, t)
-    call = tl.next_site("call", t)
-    if step is None and call is None:
+    if step is None and tl._next_link_call(t) is None:
         # All three decode copies see the same spare-bit-only change;
         # only collected payloads (checker-side) are perturbed.
         return TimelineVerdict(True, None, start=t, rule="fetch-word/spare")

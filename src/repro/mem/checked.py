@@ -190,6 +190,16 @@ class CheckedMemory:
         """
         return tuple(sorted(self._stored.items()))
 
+    def page_tables(self):
+        """The ``(stored, parity)`` page tables, read in place.
+
+        Equal to a :meth:`snapshot` exactly when the same words are
+        written with the same stored words and parity bits; pages still
+        shared with it compare by identity.  The tables are live: compare the result at once
+        rather than keeping it.
+        """
+        return (self._stored, self._parity)
+
     # -- checkpointing -----------------------------------------------------
     def snapshot(self):
         """``(stored pages, parity pages)``: copies of the two page tables.

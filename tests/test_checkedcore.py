@@ -11,11 +11,15 @@ from repro.argus.errors import (
     MemoryCheckError,
     WatchdogError,
 )
+from repro.argus.watchdog import Watchdog
 from repro.cpu import CheckedCore, FastCore
+from repro.cpu.fastcore import Timing
 from repro.faults.injector import SignalInjector
 from repro.faults.model import FaultSpec
+from repro.faults.stress import build_stress_program
 from repro.isa import registers
 from repro.mem.checked import CheckedMemory
+from repro.mem.hierarchy import MemoryConfig
 from repro.toolchain import embed_program
 from repro.workloads import WORKLOADS
 
@@ -375,3 +379,36 @@ class TestPreloadedMemory:
         assert (CheckedMemory.flat_snapshot(core.dmem.snapshot())
                 == CheckedMemory.flat_snapshot(
                     _preload_word_by_word(program).snapshot()))
+
+
+class TestStallBound:
+    """No instruction stalls as long as the watchdog's threshold, so the
+    caches only time a run: the premise on which
+    :meth:`CoreSnapshot.detection_view
+    <repro.cpu.checkedcore.CoreSnapshot.detection_view>` leaves them
+    out."""
+
+    @staticmethod
+    def _worst_stall(config, timing):
+        """An I-cache miss plus the largest of a D-cache miss with
+        write-back, a divide and a multiply."""
+        icache, dcache = config.icache, config.dcache
+        fetch = icache.hit_cycles + icache.miss_penalty - 1
+        data = (dcache.hit_cycles + dcache.miss_penalty
+                + dcache.writeback_penalty - 1)
+        return fetch + max(data, timing.div_extra, timing.mul_extra)
+
+    def test_worst_stall_is_below_the_watchdog_threshold(self):
+        bound = self._worst_stall(MemoryConfig.paper(), Timing())
+        assert bound == 52
+        assert bound < Watchdog().threshold
+
+    def test_golden_run_stays_within_the_bound(self):
+        bound = self._worst_stall(MemoryConfig.paper(), Timing())
+        core = CheckedCore(build_stress_program(), detect=True)
+        worst = 0
+        while not core.halted:
+            before = core.cycles
+            core.step()
+            worst = max(worst, core.cycles - before - 1)
+        assert 0 < worst <= bound

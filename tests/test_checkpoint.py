@@ -240,6 +240,24 @@ class TestCheckpointStore:
         _run_steps(core, 128)
         assert core.snapshot().masking_view() == core.masking_view()
 
+    def test_detection_view_matches_live_projection(self):
+        embedded = _embedded("stress")
+        core = CheckedCore(embedded, detect=True)
+        _run_steps(core, 128)
+        snapshot = core.snapshot()
+        assert snapshot.detection_view() == core.detection_view()
+        # Timing state is outside the view; checker state is inside it.
+        core.cycles += 7
+        core.block_index += 1
+        core.mem.dcache.flush()
+        assert snapshot.detection_view() == core.detection_view()
+        core.rf.parity[5] ^= 1
+        assert snapshot.detection_view() != core.detection_view()
+        core.restore(snapshot)
+        core.dmem.corrupt_parity(core.dmem.written_words()[0])
+        assert snapshot.detection_view() != core.detection_view()
+        assert snapshot.masking_view() == core.masking_view()
+
     def test_snapshot_pickles_and_has_no_dict(self):
         # A slotted namedtuple: it pickles without custom hooks.
         core = CheckedCore(_embedded("stress"), detect=True)

@@ -20,6 +20,13 @@ every reference run replays tens of thousands of instructions twice,
 probes the pairs no earlier program reached plus ``LONG_EXTRA`` of the
 least-probed others.
 
+Link tagging, a call's block end in its delay slot, reads and rewrites
+r9 outside the retire records, and the checker's instruction copy
+reaches architecture only through it.  So every program with a golden
+call is also probed at its last call's step, delay slot and the step
+after, on r9's value and parity and on the ``id.word.chk`` and
+``if.inst`` words, with every mask, transient and permanent.
+
 Tier-1 runs the small and stress programs, the fuzz programs of
 ``FUZZ_SEEDS`` and mesa.  With ``ARGUS_ORACLE_WORKLOADS=all`` every
 bundled workload and 16 more fuzz seeds follow, and the per-rule hit
@@ -34,6 +41,7 @@ import pytest
 from repro.faults.campaign import Campaign
 from repro.faults.model import INTERMITTENT, PERMANENT, TRANSIENT, FaultSpec
 from repro.faults.points import signal_rows
+from repro.isa.registers import LINK_REG
 from repro.runner.journal import result_to_record
 from repro.toolchain import embed_program
 from repro.workloads import WORKLOADS
@@ -56,7 +64,8 @@ SETTLING_RULES = (
     "inert", "alarm-only", "alu-result", "alu-result/drive-absent",
     "btarget", "btarget/drive-absent", "cfc-compare", "cfc-latch-stuck",
     "checker-internal", "checker-internal/drive-absent", "ctl-flag",
-    "ctl-flag/drive-absent", "decode-chk/spare", "decode-fu/spare",
+    "ctl-flag/drive-absent", "decode-chk/no-call", "decode-chk/spare",
+    "decode-fu/spare",
     "decode-shs", "decode-shs/spare", "div-quotient",
     "div-quotient/drive-absent", "div-remainder",
     "div-remainder/drive-absent", "ex-flag", "ex-flag/drive-absent",
@@ -78,6 +87,12 @@ START_RULES = (
     "decode-chk", "decode-fu", "lsu-addr", "lsu-mem-addr", "op-bus",
     "rf-read-first", "unknown",
 )
+
+#: Targets that link tagging reads or rewrites (r9's cells) or that
+#: reach it (the checker's instruction copy, and the fetched word that
+#: feeds it), probed at a call's delay slot.
+LINK_TARGETS = ("state.rf.value", "state.rf.parity", "id.word.chk",
+                "if.inst")
 
 #: Probes run so far per (rule, duration), across the programs.
 HITS = {}
@@ -162,6 +177,56 @@ def test_settled_lanes_match_reference(name):
         HITS[key] = HITS.get(key, 0) + 1
 
 
+def _link_probes(campaign):
+    """Every mask of ``LINK_TARGETS`` (r9 for the register cells) at the
+    last golden call's step ``c``, its delay slot ``c + 1`` and ``c + 2``,
+    transient and permanent; empty without a golden call."""
+    timeline = campaign.timeline()
+    calls = timeline.sites["call"]
+    if not calls:
+        return []
+    specs = [FaultSpec(row.target, mask,
+                       index=LINK_REG if row.is_state else None,
+                       is_state=row.is_state)
+             for row in signal_rows() if row.target in LINK_TARGETS
+             for mask in _masks(row.width, row.bit_offset)]
+    times = [t for t in range(calls[-1], calls[-1] + 3)
+             if t < timeline.length]
+    return [(spec, duration, t) for duration in (TRANSIENT, PERMANENT)
+            for t in times for spec in specs]
+
+
+@pytest.mark.parametrize("name", SHORT + LONG)
+def test_call_delay_slot_probes(name):
+    """Engine record == reference record at the last call's delay slot.
+
+    A short program runs every probe.  A long one, where each reference
+    run replays over a hundred thousand instructions twice, runs the
+    first probe of each (target, duration, rule) triple."""
+    embedded = _program(name)
+    engine = Campaign(embedded=embedded, seed=11)
+    probes = _link_probes(engine)
+    if not probes:
+        pytest.skip("no golden call")
+    timeline = engine.timeline()
+    rules = [timeline.verdict(*probe).rule for probe in probes]
+    if name not in SHORT:
+        first = {}
+        for probe, rule in zip(probes, rules):
+            first.setdefault((probe[0].target, probe[1], rule),
+                             (probe, rule))
+        probes = [probe for probe, _ in first.values()]
+        rules = [rule for _, rule in first.values()]
+    reference = Campaign(embedded=embedded, seed=11, use_checkpoints=False)
+    got = engine._run_entries(probes)
+    for probe, rule, result in zip(probes, rules, got):
+        want = reference.run_experiment(*probe)
+        assert result_to_record(result) == result_to_record(want), (
+            "%s rule=%s %s %s@%d" % (name, rule, probe[0], probe[1],
+                                     probe[2]))
+        HITS[rule, probe[1]] = HITS.get((rule, probe[1]), 0) + 1
+
+
 def test_rule_hit_counts():
     """Print per-(rule, duration) probe counts.  Every rule probed must
     be listed in ``SETTLING_RULES`` or ``START_RULES``, and the rules
@@ -184,5 +249,6 @@ def test_rule_hit_counts():
                  "checker-internal/drive-absent", "alu-result", "mul-low",
                  "mul-upper", "ex-flag", "wb-port", "store-data",
                  "lsu-addr-high", "rf-parity-link", "btarget", "ctl-flag",
-                 "hang", "rf-read-first", "op-bus", "unknown"):
+                 "hang", "rf-read-first", "op-bus", "unknown",
+                 "decode-chk/no-call"):
         assert rule in probed, rule
